@@ -85,8 +85,9 @@ def main() -> None:
         with serve_in_thread(backend=backend, cache=cache2) as handle:
             client = handle.client()  # pooled persistent connections
 
-            # One batch request carries several jobs; identical points
-            # coalesce onto one simulation within the batch itself.
+            # One held batch request carries several jobs out and every
+            # result back; identical points coalesce onto one simulation
+            # within the batch itself.
             specs = [
                 {"workload": "lu2d", "configs": [c], "seed": 3} for c in configs
             ] + [{"workload": "lu2d", "configs": [configs[0]], "seed": 3}]
@@ -104,6 +105,8 @@ def main() -> None:
             )
 
             # Cancellation: a submitted job can be revoked mid-flight.
+            # submit() is the un-held form (the id comes back at once);
+            # wait() is a held GET the server answers as the job settles.
             submitted = client.submit("lu2d", [{"prows": 4, "pcols": 1, "n": 48}])
             report = client.cancel(submitted["job_id"])
             final = client.wait(submitted["job_id"])

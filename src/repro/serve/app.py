@@ -9,14 +9,24 @@ handshake cost once per *session*, not once per job.
 
 Routes::
 
-    POST   /jobs              submit a job spec; 201 + dedupe summary
-    POST   /jobs/batch        submit many job specs in one body
-    GET    /jobs              job summaries, newest first
-    GET    /jobs/{id}         full status + results
-    DELETE /jobs/{id}         cancel the job's pending points
-    GET    /jobs/{id}/events  NDJSON progress stream until terminal
-    GET    /healthz           liveness
-    GET    /stats             queue depth, dedupe + data-plane counters
+    POST   /jobs[?wait=s]        submit a job spec; 201 + dedupe summary
+    POST   /jobs/batch[?wait=s]  submit many job specs in one body
+    GET    /jobs                 job summaries, newest first
+    GET    /jobs/{id}[?wait=s]   full status + results
+    DELETE /jobs/{id}            cancel the job's pending points
+    GET    /jobs/{id}/events     NDJSON progress stream until terminal
+    GET    /healthz              liveness
+    GET    /stats                queue depth, dedupe + data-plane counters
+
+Completion is **pushed**: ``?wait=<seconds>`` on the three routes that
+take it holds the request -- parked on the event loop, blocking nothing
+-- until every job it names is terminal or the deadline passes, then
+answers with the full ``GET /jobs/{id}`` payload (on a ``POST``:
+inline, per job, beside ``location``), so a result costs one round trip
+and no polling.  A deadline that passes first is not an error: the
+response carries the job as it stands and the caller decides.  ``wait``
+is clamped to :data:`MAX_WAIT_S`; a malformed value is a 400.  Without
+``wait`` nothing is held and a ``POST`` answers with the summary.
 
 Errors are structured JSON (``{"error": {"code", "message", ...}}``)
 with the status taken from the raised :class:`ServeError`; an
@@ -30,11 +40,12 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+from urllib.parse import parse_qs
 
 from repro.serve.backends import Backend, InProcessBackend, make_backend
 from repro.serve.errors import JobNotFoundError, ProtocolError, ServeError
-from repro.serve.jobs import JobManager
+from repro.serve.jobs import TERMINAL, Job, JobManager
 from repro.serve.protocol import parse_job_batch
 from repro.sweep import RunCache, WorkloadEntry, workload_names
 
@@ -44,6 +55,10 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Per-request header/body read timeout (first request on a
 #: connection; see ``keepalive_idle_s`` for the between-request clock).
 READ_TIMEOUT_S = 30.0
+
+#: Longest a ``?wait=`` may hold one request; larger values are
+#: clamped, not refused -- a caller that wants longer asks again.
+MAX_WAIT_S = 60.0
 
 #: Default idle window a kept-alive connection may sit between
 #: requests before the server closes it.
@@ -91,6 +106,13 @@ class JobServer:
         #: at loop teardown.
         self._conn_writers: set = set()
         self._conn_tasks: set = set()
+        #: One task per request parked in a ``?wait=`` hold right now,
+        #: done when the jobs it waits for are terminal.
+        self._holds: set = set()
+        #: Holds that parked at all / whose deadline passed before the
+        #: jobs settled.
+        self.waits_total = 0
+        self.waits_expired = 0
         self.requests_served = 0
         self.connections_accepted = 0
         self.connections_open = 0
@@ -130,6 +152,10 @@ class JobServer:
         # streaming a job that never finishes) are cancelled.
         for writer in list(self._conn_writers):
             writer.close()
+        # A parked hold is not reading, so the EOF never reaches it:
+        # end it, and its handler drops the connection unanswered.
+        for settled in list(self._holds):
+            settled.cancel()
         pending = {t for t in self._conn_tasks if not t.done()}
         if pending:
             await asyncio.wait(pending, timeout=2.0)
@@ -163,7 +189,7 @@ class JobServer:
             while True:
                 timeout = READ_TIMEOUT_S if served == 0 else self.keepalive_idle_s
                 try:
-                    method, path, headers, version, body = await asyncio.wait_for(
+                    method, path, query, headers, version, body = await asyncio.wait_for(
                         self._read_request(reader), timeout=timeout
                     )
                 except (asyncio.TimeoutError, asyncio.IncompleteReadError, ValueError):
@@ -182,7 +208,7 @@ class JobServer:
                 try:
                     streamed = bool(
                         await self._dispatch(
-                            method, path, body, writer, keep_alive=keep_alive
+                            method, path, query, body, writer, keep_alive=keep_alive
                         )
                     )
                 except ServeError as exc:
@@ -216,7 +242,7 @@ class JobServer:
 
     async def _read_request(
         self, reader
-    ) -> Tuple[str, str, Dict[str, str], str, bytes]:
+    ) -> Tuple[str, str, str, Dict[str, str], str, bytes]:
         request_line = (await reader.readline()).decode("latin-1").strip()
         if not request_line:
             raise ValueError("empty request")
@@ -235,8 +261,8 @@ class JobServer:
         if length > MAX_BODY_BYTES:
             raise ValueError("body too large")
         body = await reader.readexactly(length) if length else b""
-        path = target.split("?", 1)[0]
-        return method.upper(), path, headers, version.upper(), body
+        path, _, query = target.partition("?")
+        return method.upper(), path, query, headers, version.upper(), body
 
     async def _send_json(
         self,
@@ -260,7 +286,13 @@ class JobServer:
     # -- routing ------------------------------------------------------
 
     async def _dispatch(
-        self, method: str, path: str, body: bytes, writer, keep_alive: bool = False
+        self,
+        method: str,
+        path: str,
+        query: str,
+        body: bytes,
+        writer,
+        keep_alive: bool = False,
     ) -> Optional[bool]:
         """Route one request; returns truthy when the response was a
         close-delimited stream (the connection cannot be reused)."""
@@ -283,12 +315,15 @@ class JobServer:
                 "requests_reused": self.requests_reused,
                 "max_requests_per_connection": self.max_requests_per_connection,
                 "keepalive_idle_s": self.keepalive_idle_s,
+                "waits_total": self.waits_total,
+                "waits_held": len(self._holds),
+                "waits_expired": self.waits_expired,
             }
             await self._send_json(writer, 200, stats, keep_alive=keep_alive)
         elif path == "/jobs/batch" and method == "POST":
-            await self._post_batch(body, writer, keep_alive)
+            await self._post_batch(body, _parse_wait(query), writer, keep_alive)
         elif path == "/jobs" and method == "POST":
-            await self._post_job(body, writer, keep_alive)
+            await self._post_job(body, _parse_wait(query), writer, keep_alive)
         elif path == "/jobs" and method == "GET":
             jobs = sorted(self.manager.jobs.values(), key=lambda j: j.id, reverse=True)
             await self._send_json(
@@ -296,7 +331,8 @@ class JobServer:
                 keep_alive=keep_alive,
             )
         elif len(segments) == 2 and segments[0] == "jobs" and method == "GET":
-            job = self.manager.get(segments[1])
+            job = self.manager.get(segments[1])  # unknown id: 404, never held
+            await self._hold([job], _parse_wait(query))
             await self._send_json(writer, 200, job.to_payload(), keep_alive=keep_alive)
         elif len(segments) == 2 and segments[0] == "jobs" and method == "DELETE":
             report = self.manager.cancel(segments[1])
@@ -327,29 +363,72 @@ class JobServer:
             raise ProtocolError(what)
         return payload
 
-    async def _post_job(self, body: bytes, writer, keep_alive: bool) -> None:
+    async def _hold(self, jobs: List[Job], wait_s: Optional[float]) -> None:
+        """Park this request until every job is terminal or ``wait_s``
+        has passed, whichever is first; neither is an error.  ``None``
+        (the request carried no ``wait``) holds nothing.
+
+        Only the calling connection's task waits: settle, ``DELETE``
+        and worker death all wake it through the events the job emits.
+        The caller keeps the ``Job`` objects, so a job evicted from the
+        table meanwhile still answers with its result.
+        """
+        if wait_s is None:
+            return
+        pending = [job for job in jobs if job.state not in TERMINAL]
+        if not pending:
+            return  # settled inside the submit (all cache hits)
+        settled = asyncio.ensure_future(_all_terminal(pending))
+        self.waits_total += 1
+        self._holds.add(settled)
+        try:
+            await asyncio.wait({settled}, timeout=wait_s)
+            if settled.cancelled():
+                # close() ended the hold, having closed our writer.
+                raise ConnectionResetError("server closing")
+            if not settled.done():
+                self.waits_expired += 1
+        finally:
+            self._holds.discard(settled)
+            settled.cancel()
+
+    async def _submitted(
+        self, jobs: List[Job], wait_s: Optional[float]
+    ) -> List[Dict[str, Any]]:
+        """Each job's part of a submit response, beside its
+        ``location``: the summary -- or, when the request asked to
+        ``wait``, the full payload once the hold ends."""
+        await self._hold(jobs, wait_s)
+        views = []
+        for job in jobs:
+            view = job.summary() if wait_s is None else job.to_payload()
+            view["location"] = f"/jobs/{job.id}"
+            views.append(view)
+        return views
+
+    async def _post_job(
+        self, body: bytes, wait_s: Optional[float], writer, keep_alive: bool
+    ) -> None:
         payload = self._decode_body(body, "POST /jobs needs a JSON job spec body")
         job = self.manager.submit_payload(payload)
-        response = job.summary()
-        response["location"] = f"/jobs/{job.id}"
+        (response,) = await self._submitted([job], wait_s)
         await self._send_json(
             writer, 201, response,
-            extra_headers={"Location": f"/jobs/{job.id}"},
+            extra_headers={"Location": response["location"]},
             keep_alive=keep_alive,
         )
 
-    async def _post_batch(self, body: bytes, writer, keep_alive: bool) -> None:
+    async def _post_batch(
+        self, body: bytes, wait_s: Optional[float], writer, keep_alive: bool
+    ) -> None:
         payload = self._decode_body(
             body, "POST /jobs/batch needs a JSON body with a 'jobs' list"
         )
         parsed = parse_job_batch(payload, resolve=self.manager.resolve)
         jobs = self.manager.submit_batch(parsed)
-        summaries = []
+        summaries = await self._submitted(jobs, wait_s)
         dedupe = {"cache_hits": 0, "coalesced": 0, "scheduled": 0}
-        for job in jobs:
-            summary = job.summary()
-            summary["location"] = f"/jobs/{job.id}"
-            summaries.append(summary)
+        for summary in summaries:
             for bucket, count in summary["dedupe"].items():
                 dedupe[bucket] += count
         await self._send_json(
@@ -387,6 +466,30 @@ class ServeErrorMethod(ServeError):
 
     def __init__(self, method: str, path: str):
         super().__init__(f"{method} not allowed on {path}")
+
+
+def _parse_wait(query: str) -> Optional[float]:
+    """The ``wait`` query parameter in seconds, clamped to
+    :data:`MAX_WAIT_S`; ``None`` when absent.  Every other parameter is
+    ignored."""
+    values = parse_qs(query, keep_blank_values=True).get("wait")
+    if not values:
+        return None
+    try:
+        wait_s = float(values[-1])
+    except ValueError:
+        wait_s = float("nan")
+    if not wait_s >= 0.0:  # negative, NaN or not a number at all
+        raise ProtocolError(
+            f"wait must be a number of seconds >= 0, got {values[-1]!r}",
+            details={"wait": values[-1]},
+        )
+    return min(wait_s, MAX_WAIT_S)
+
+
+async def _all_terminal(jobs: List[Job]) -> None:
+    for job in jobs:
+        await job.wait()
 
 
 def _wants_keepalive(version: str, headers: Mapping[str, str]) -> bool:

@@ -5,11 +5,19 @@ persistent connections**: the server's HTTP/1.1 keep-alive means a
 high-rate caller pays TCP setup once per connection, not once per
 request.  A pooled connection the server has since idle-closed is
 detected on use and transparently retried on a fresh one; a connection
-that dies *mid-response* surfaces as a typed
+that times out or dies *mid-response* surfaces as a typed
 :class:`~repro.serve.errors.ServeTransportError` carrying the request
 context (method, path, job id when identifiable, bytes/events read) --
 never a bare socket error.  ``keep_alive=False`` restores the old
 one-connection-per-request behaviour.
+
+Completion is **pushed, not polled**: ``run`` / ``run_batch`` / ``wait``
+ask the server to hold the request (``?wait=<seconds>``) until the jobs
+settle, so a result costs one round trip.  The hold asked for is
+derived, never configured: the time left to the caller's deadline,
+capped at a fixed share of the socket timeout, and re-issued until the
+job is terminal -- a healthy hold cannot trip the socket timeout and a
+job longer than one hold still completes.
 
 :func:`serve_in_thread` runs a :class:`JobServer` on its own event loop
 in a daemon thread, so synchronous code (pytest, demos) can exercise
@@ -29,16 +37,31 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 from repro.serve.app import JobServer
 from repro.serve.errors import ServeClientError, ServeError, ServeTransportError
 
-#: Job states a poller treats as finished.
+#: Job states a waiter treats as finished.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: Share of the socket timeout one server-side hold may take; the rest
+#: is the server's to answer in once the hold ends.
+_HOLD_SHARE = 0.5
+
+#: What a *stale* pooled connection raises: the peer closed it before
+#: any response byte (``http.client.RemoteDisconnected`` is a
+#: ``ConnectionResetError``).  Only these earn the retry -- never a
+#: timeout, whose request the server may be holding on purpose.
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
 
 
 def _job_id_from_path(path: str) -> Optional[str]:
     """The job id named by a ``/jobs/{id}[...]`` path, if any."""
-    segments = [s for s in path.split("/") if s]
+    segments = [s for s in path.partition("?")[0].split("/") if s]
     if len(segments) >= 2 and segments[0] == "jobs" and segments[1] != "batch":
         return segments[1]
     return None
+
+
+def _held(path: str, wait: Optional[float]) -> str:
+    """``path``, asking the server to hold the request ``wait`` seconds."""
+    return path if wait is None else f"{path}?wait={wait:.3f}"
 
 
 class ServeClient:
@@ -113,8 +136,9 @@ class ServeClient:
 
         Error statuses are returned, not raised -- tests assert on
         them; the typed helpers below raise :class:`ServeClientError`.
-        Transport failures (server gone, connection closed before or
-        during the response) raise :class:`ServeTransportError`.
+        Transport failures (server gone, socket timeout, connection
+        closed before or during the response) raise
+        :class:`ServeTransportError`.
         """
         body = None
         headers: Dict[str, str] = {}
@@ -134,7 +158,7 @@ class ServeClient:
                 response = conn.getresponse()
             except (http.client.HTTPException, OSError) as exc:
                 conn.close()
-                if pooled:
+                if pooled and isinstance(exc, _STALE_ERRORS):
                     continue  # stale keep-alive connection: retry fresh
                 raise ServeTransportError(
                     f"{method} {path}: no response from "
@@ -196,35 +220,56 @@ class ServeClient:
         workload: str,
         configs: List[Dict[str, Any]],
         seed: int = 0,
+        wait: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Submit a job; returns the submit summary (job_id, dedupe)."""
+        """Submit a job; returns the submit summary (job_id, dedupe).
+
+        With ``wait`` the server holds the request up to that many
+        seconds for the job to settle and answers with the full
+        payload (results included) as it then stands.
+        """
         return self._checked(
-            "POST", "/jobs", {"workload": workload, "configs": configs, "seed": seed}
+            "POST",
+            _held("/jobs", wait),
+            {"workload": workload, "configs": configs, "seed": seed},
         )
 
-    def submit_batch(self, jobs: List[Dict[str, Any]]) -> Dict[str, Any]:
+    def submit_batch(
+        self, jobs: List[Dict[str, Any]], wait: Optional[float] = None
+    ) -> Dict[str, Any]:
         """Submit many job specs in one request (``POST /jobs/batch``).
 
         Each element is a full job spec dict (``workload``, ``configs``
         or ``config``, optional ``seed``).  Returns the batch summary:
         per-job summaries (with ``location``) plus aggregated dedupe.
+        With ``wait`` the server holds the request up to that many
+        seconds for every job to settle, and each per-job entry is the
+        full payload as it then stands.
         """
-        return self._checked("POST", "/jobs/batch", {"jobs": jobs})
+        return self._checked("POST", _held("/jobs/batch", wait), {"jobs": jobs})
 
     def job(self, job_id: str) -> Dict[str, Any]:
+        """The job's full payload as it stands now (never held)."""
         return self._checked("GET", f"/jobs/{job_id}")
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         """Cancel a job's pending points (``DELETE /jobs/{id}``)."""
         return self._checked("DELETE", f"/jobs/{job_id}")
 
-    def wait(
-        self, job_id: str, timeout: float = 60.0, poll_s: float = 0.02
-    ) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its full payload."""
-        deadline = time.monotonic() + timeout
+    def _hold_s(self, deadline: float) -> float:
+        """The hold to ask of the server now: the time left to the
+        caller's ``deadline``, capped so it cannot trip the socket
+        timeout."""
+        return max(0.0, min(deadline - time.monotonic(), self.timeout * _HOLD_SHARE))
+
+    def _wait(self, job_id: str, deadline: float, timeout: float) -> Dict[str, Any]:
+        """One held ``GET`` after another until the job is terminal or
+        ``deadline`` passes (``timeout`` is what the caller asked for,
+        quoted in the error)."""
         while True:
-            payload = self.job(job_id)
+            payload = self._checked(
+                "GET", _held(f"/jobs/{job_id}", self._hold_s(deadline))
+            )
             if payload["state"] in TERMINAL_STATES:
                 return payload
             if time.monotonic() >= deadline:
@@ -233,7 +278,14 @@ class ServeClient:
                     f"(state {payload['state']}, "
                     f"{payload['settled']}/{payload['points']} settled)"
                 )
-            time.sleep(poll_s)
+
+    def wait(self, job_id: str, timeout: float = 60.0) -> Dict[str, Any]:
+        """Block until the job is terminal; returns its full payload.
+
+        The server holds each ``GET`` until the job settles, so this
+        returns as the result lands, not on a poll tick.
+        """
+        return self._wait(job_id, time.monotonic() + timeout, timeout)
 
     def run(
         self,
@@ -242,30 +294,30 @@ class ServeClient:
         seed: int = 0,
         timeout: float = 60.0,
     ) -> Dict[str, Any]:
-        """Submit and wait; the one-call path the demo and bench use."""
-        submitted = self.submit(workload, configs, seed=seed)
-        if submitted["state"] in TERMINAL_STATES:
-            # Fully deduped jobs settle inside the submit request.
-            payload = self.job(submitted["job_id"])
-        else:
-            payload = self.wait(submitted["job_id"], timeout=timeout)
-        payload["dedupe"] = submitted["dedupe"]
+        """Submit and wait; the one-call path the demo and bench use.
+
+        One held ``POST`` carries the result back (beside its
+        ``location``); only a job that outlasts a hold costs more.
+        """
+        deadline = time.monotonic() + timeout
+        payload = self.submit(workload, configs, seed=seed, wait=self._hold_s(deadline))
+        if payload["state"] not in TERMINAL_STATES:
+            payload = self._wait(payload["job_id"], deadline, timeout)
         return payload
 
     def run_batch(
         self, jobs: List[Dict[str, Any]], timeout: float = 60.0
     ) -> List[Dict[str, Any]]:
-        """Submit a batch and wait for every job; full payloads in order."""
-        batch = self.submit_batch(jobs)
-        payloads = []
-        for summary in batch["jobs"]:
-            if summary["state"] in TERMINAL_STATES:
-                payload = self.job(summary["job_id"])
-            else:
-                payload = self.wait(summary["job_id"], timeout=timeout)
-            payload["dedupe"] = summary["dedupe"]
-            payloads.append(payload)
-        return payloads
+        """Submit a batch and wait for every job; full payloads in
+        order, all from the one held ``POST`` unless a job outlasts it."""
+        deadline = time.monotonic() + timeout
+        batch = self.submit_batch(jobs, wait=self._hold_s(deadline))
+        return [
+            payload
+            if payload["state"] in TERMINAL_STATES
+            else self._wait(payload["job_id"], deadline, timeout)
+            for payload in batch["jobs"]
+        ]
 
     def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
         """Stream the job's NDJSON progress events until it finishes.

@@ -146,9 +146,11 @@ class Job:
             await self._changed.wait()
 
     async def wait(self) -> None:
-        """Block until the job is terminal."""
-        async for _ in self.stream_events():
-            pass
+        """Block until the job is terminal (the edge trigger, and the
+        race-freedom, of :meth:`stream_events`)."""
+        while self.state not in TERMINAL:
+            self._changed.clear()
+            await self._changed.wait()
 
 
 class JobManager:

@@ -413,6 +413,29 @@ class TestEviction:
         # remember all five jobs ran.
         assert stats["jobs_done"] == 5
 
+    def test_run_batch_outgrowing_the_job_table_keeps_every_result(self, tmp_path):
+        """Four jobs through a two-job table: the oldest are evicted as
+        the batch settles, yet the held POST still answers with all
+        four -- it kept the jobs it admitted.  Once cold, once from the
+        cache (where eviction happens inside the submit itself)."""
+        jobs = [
+            {"workload": "lu2d", "configs": [{"prows": 1, "pcols": 2, "n": 16 + 8 * i}]}
+            for i in range(4)
+        ]
+        cache = RunCache(str(tmp_path / "cache"))
+        with serve_in_thread(
+            backend=InProcessBackend(workers=1), cache=cache, max_jobs=2
+        ) as handle:
+            client = handle.client()
+            for origin in ("scheduled", "cache_hit"):
+                evicted = client.stats()["jobs_evicted"]
+                payloads = client.run_batch(jobs)
+                assert [p["state"] for p in payloads] == ["done"] * 4
+                assert [p["point_states"][0]["origin"] for p in payloads] == [origin] * 4
+                assert [p["results"][0]["n"] for p in payloads] == [16, 24, 32, 40]
+                assert client.stats()["jobs_evicted"] - evicted >= 2
+            assert client.stats()["jobs_tracked"] == 2
+
 
 class TestShardedBackend:
     def test_sharded_results_bit_identical_to_run_sweep(self):
@@ -519,6 +542,53 @@ class TestTransportErrors:
         assert err.method == "GET"
         assert err.path == "/healthz"
         assert "no response" in str(err)
+
+    def test_timeout_on_a_pooled_connection_is_typed_and_never_retried(self):
+        """A silent server may be *holding* the request: re-sending it
+        on a fresh connection would submit the job twice."""
+        srv = socket.socket()
+        srv.bind(("127.0.0.1", 0))
+        srv.listen(4)
+        received = []
+        release = threading.Event()
+
+        def serve_then_go_silent():
+            conn, _ = srv.accept()
+            with conn:
+                received.append(_read_request(conn))  # primes the client's pool
+                conn.sendall(
+                    b"HTTP/1.1 200 OK\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: 3\r\n\r\n{}\n"
+                )
+                received.append(_read_request(conn))  # read, never answered
+                release.wait(timeout=10)
+
+        thread = threading.Thread(target=serve_then_go_silent, daemon=True)
+        thread.start()
+        from repro.serve import ServeClient
+
+        client = ServeClient(port=srv.getsockname()[1], timeout=0.3)
+        try:
+            client.healthz()
+            with pytest.raises(ServeTransportError) as exc_info:
+                client.request(
+                    "POST", "/jobs?wait=5",
+                    {"workload": "lu2d", "configs": [LU2D_CONFIGS[0]]},
+                )
+            # No second connection ever arrived: nothing was re-sent.
+            srv.settimeout(0.05)
+            with pytest.raises(socket.timeout):
+                srv.accept()
+        finally:
+            release.set()
+            thread.join(timeout=5)
+            srv.close()
+        err = exc_info.value
+        assert err.method == "POST" and err.path == "/jobs?wait=5"
+        assert "TimeoutError" in str(err)
+        assert len(received) == 2
+        assert received[1].startswith(b"POST /jobs?wait=5 ")
 
     def test_mid_response_close_is_typed_with_context(self):
         def handler(conn):
