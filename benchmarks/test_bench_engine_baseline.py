@@ -1,8 +1,9 @@
 """Engine throughput baseline: the numbers behind ``BENCH_engine.json``.
 
-Six workloads spanning the engine's hot paths -- a 512-rank
+Seven workloads spanning the engine's hot paths -- a 512-rank
 block-cyclic LU (point-to-point heavy, the headline number), a 64-rank
-SUMMA (broadcast heavy), a 32-rank collectives suite, a 2048-rank
+LU on the macro path (group panel broadcasts from cached plans), a
+64-rank SUMMA (broadcast heavy), a 32-rank collectives suite, a 2048-rank
 collective run exercising the collective macro-ops, a 16384-rank
 halo epoch exercising the stencil macro-ops, and a 1024-rank symbolic
 lint of the shipped programs exercising the static verifier -- each
@@ -12,9 +13,11 @@ Run with ``--bench-json BENCH_engine.json`` to refresh the committed
 baseline; the CI perf-smoke job compares a fresh run against it with
 ``benchmarks/check_bench_regression.py``.
 
-The first three workloads pass ``macro_ops=False`` so their numbers
-keep measuring the per-message event cascade (and stay comparable with
-the committed history); the 2048-rank collectives and 16384-rank halo
+The 512-rank LU, the SUMMA and the 32-rank suite pass
+``macro_ops=False`` so their numbers keep measuring the per-message
+event cascade (and stay comparable with the committed history); the
+64-rank LU times the mixed event/macro path a served lu2d point takes;
+the 2048-rank collectives and 16384-rank halo
 benchmarks measure the macro path against that cascade and assert the
 speedup.
 
@@ -70,6 +73,29 @@ def test_bench_lu2d_512_throughput(bench_record):
         virtual_time_s=round(sim.time, 9),
     )
     assert entry["events_per_sec"] > 0
+
+
+def test_bench_lu2d_64_macro(bench_record):
+    """The ledger's ``cold_eventloop`` point, in-process: a 64-rank LU
+    (Delta, 8x8 grid, n = 128, nb = 2) on the default macro path, where
+    its 2 159 eight-rank panel broadcasts are priced in closed form from
+    cached round plans."""
+    machine = touchstone_delta()
+    a = make_test_matrix(128, seed=0)
+    grid = ProcessGrid2D(8, 8)
+    res, wall = _best_of(lambda: lu2d(machine, grid, a, nb=2, seed=0))
+    sim = res.sim
+    assert sim.events == 25800
+    assert sim.total_messages == 15113
+    assert sim.macro_fallbacks == 0
+    assert sim.time == 0.08366494070052319
+    bench_record(
+        "lu2d_64_macro",
+        events=sim.events,
+        wall_s=wall,
+        ranks=64,
+        virtual_time_s=round(sim.time, 9),
+    )
 
 
 def test_bench_summa_64_throughput(bench_record):

@@ -73,6 +73,7 @@ from repro.simmpi.delivery import AlphaBetaDelivery, DeliveryModel, resolve_deli
 from repro.simmpi.protocol import EagerProtocol, Protocol, RendezvousProtocol
 from repro.simmpi.macro import SUPPORTED as _MACRO_SUPPORTED
 from repro.simmpi.macro import evaluate as _macro_evaluate
+from repro.simmpi.macro import plan as _macro_plan
 from repro.simmpi.requests import (
     MACRO_FALLBACK,
     CollectiveReq,
@@ -392,7 +393,8 @@ class _Run:
     __slots__ = (
         "engine", "machine", "tracer", "delivery", "eager", "rendezvous",
         "protocols", "ranks", "_n", "_eager_max", "_last_arrival",
-        "_overhead", "seq", "_heap", "_active", "_fast", "_fast_enabled",
+        "_last_hi", "_overhead", "_plans", "_plan_pairs", "seq", "_heap",
+        "_active", "_fast", "_fast_enabled",
         "comms", "_ab_hops", "_ab", "_tracing", "_flops_denom",
         "_macro_enabled", "_macro_pending", "_world_members",
         "_cert_pure", "_cert_uniform", "_fallbacks",
@@ -461,8 +463,11 @@ class _Run:
         #: Interned pair keys: src * n_ranks + dst (no tuple per lookup).
         self._n = engine.n_ranks
         self._eager_max = engine.eager_threshold_bytes
-        # FIFO clamp: latest arrival so far per interned (src, dst) key.
+        # FIFO clamp: latest arrival so far per interned (src, dst) key,
+        # and a monotone upper bound on its values, raised at every
+        # write (the macro evaluator's "can a clamp fire?" test).
         self._last_arrival: Dict[int, float] = {}
+        self._last_hi = float("-inf")
         # Sender-side injection overhead per pair key (the model's
         # overhead() takes no time argument, so it is stationary per
         # pair within a run and safe to memoise).
@@ -500,6 +505,10 @@ class _Run:
             and self._ab is not None
         )
         self._macro_pending: Dict[tuple, list] = {}
+        # Static macro plans by (members, kind, algorithm, root), and
+        # the pair entries they hold (see repro.simmpi.macro.plan).
+        self._plans: Dict[tuple, Any] = {}
+        self._plan_pairs = 0
         # World member tuple, built on first use: O(p) to construct, so
         # bring-up does not pay for it (closed-form runs build it once,
         # pure point-to-point runs never do).
@@ -578,6 +587,8 @@ class _Run:
         if prev is not None and prev > arrival:
             arrival = prev
         last[key] = arrival
+        if arrival > self._last_hi:
+            self._last_hi = arrival
         return arrival
 
     def overhead(self, src_rank: int, dst_rank: int) -> float:
@@ -842,9 +853,8 @@ class _Run:
         the closed-form schedule, or resume everyone with the fallback
         sentinel so the real message algorithm runs from these same
         entry clocks."""
-        members = key[0]
-        if members is None:
-            members = self.world_members()
+        plan = _macro_plan(self, key[0], key[2], key[3], key[4])
+        members = plan.members
         ranks = self.ranks
         # Stencil exchange phases carry their declared spec in the
         # algorithm slot; collectives are checked against the evaluator
@@ -863,7 +873,7 @@ class _Run:
                 if st.rslots or st.pending or st.parked:
                     sound = False
                     break
-        result = _macro_evaluate(self, members, reqs, clocks) if sound else None
+        result = _macro_evaluate(self, plan, reqs, clocks) if sound else None
         schedule = self.schedule
         blk = self._blk
         if result is None:
@@ -873,7 +883,7 @@ class _Run:
                 # Vectorized whole-group unblock (on the ndarray; the
                 # memoryview sees it); the loop below only rewires
                 # per-rank object state and resume events.
-                self.ms.blocked[np.fromiter(members, np.intp, count=len(members))] = False
+                self.ms.blocked[plan.idx] = False
                 for m in members:
                     ranks[m].collective = None
                     schedule(clk[m], m, MACRO_FALLBACK)
@@ -888,7 +898,7 @@ class _Run:
         # events land exactly at each member's new clock, so no idle
         # time is attributed.
         if self._columnar:
-            self.ms.blocked[np.fromiter(members, np.intp, count=len(members))] = False
+            self.ms.blocked[plan.idx] = False
             for i, m in enumerate(members):
                 ranks[m].collective = None
                 schedule(finishes[i], m, values[i])
@@ -930,6 +940,8 @@ class _Run:
         if prev is not None and prev > arrival:
             arrival = prev
         last[key] = arrival
+        if arrival > self._last_hi:
+            self._last_hi = arrival
         memo = self._overhead
         overhead = memo.get(key)
         if overhead is None:
@@ -1022,6 +1034,8 @@ class _Run:
         if prev is not None and prev > arrival:
             arrival = prev
         last[key] = arrival
+        if arrival > self._last_hi:
+            self._last_hi = arrival
         memo = self._overhead
         overhead = memo.get(key)
         if overhead is None:
@@ -1532,7 +1546,6 @@ class _Run:
                 "(write communication as 'yield from comm....')"
             )
         send = gen.send
-        members = self.world_members()
         evaluate = _macro_evaluate
         max_events = engine.max_events
         events = 0
@@ -1580,9 +1593,10 @@ class _Run:
                 # a symmetric invocation: one shared request prices all
                 # p members without synthesizing p objects, and ghost
                 # mode assembles only rank 0's observable result.
-                result = evaluate(
-                    self, members, [request] * p, ms.clock, ghost=True
+                plan = _macro_plan(
+                    self, None, request.kind, request.algorithm, request.root
                 )
+                result = evaluate(self, plan, [request] * p, ms.clock, ghost=True)
                 if result is None:
                     raise SimulationError(
                         f"collective {request.kind}/{request.algorithm} is "

@@ -33,8 +33,29 @@ Evaluation is transactional: local clocks, stats, and a
 :meth:`_Sched.commit`, so bailing out at any point (``_Bail``) is safe
 -- the engine then resumes every member with ``MACRO_FALLBACK`` and the
 real message algorithm runs from the same entry clocks.  The only
-side effects before commit are the delivery model's deterministic
-``_fixed`` / overhead memos, which cache pure functions of (src, dst).
+side effects before commit are memo and plan-table inserts: the
+delivery model's ``_fixed`` / overhead memos and the run's
+:class:`_Plan` table.  Each caches a pure function of the run's
+topology, rank map, link and size, so a bail leaves nothing
+observable.
+
+Plans and clock arithmetic
+--------------------------
+
+An invocation splits into a static :class:`_Plan` and the clock
+arithmetic.  The plan depends only on ``(members, kind, algorithm,
+root)``: the member index and node columns, and per send round the
+group-index src/dst columns, the interned FIFO keys and the
+hop-derived fixed wire cost.  :func:`plan` builds it once per run and
+keeps it in ``run._plans``, so a repeated invocation (lu2d's panel
+broadcasts repeat 94 % of the time) evaluates only the expressions
+that read clocks.  The table is bounded by :data:`PLAN_CAP_PAIRS` and
+is cleared when an insertion would exceed it.
+
+The FIFO clamp's "can any recorded arrival exceed this round's?" test
+reads ``run._last_hi``, a monotone upper bound on every value in
+``run._last_arrival`` that the engine raises at each write, instead of
+scanning the table.
 
 Supported schedules (anything else falls back): dissemination barrier,
 binomial-tree / ring / flat bcast, binomial reduce, recursive-doubling
@@ -69,9 +90,151 @@ SUPPORTED = frozenset({
 })
 
 
+#: Bound on a run's plan table, in pair entries: one per member (index
+#: and node columns) plus one per planned message (src, dst, key and
+#: fixed-cost columns), about 32 bytes each.  One world tree plan at
+#: 2**20 ranks (2**21 - 1 entries) fits; a rotating-root world bcast
+#: would otherwise grow the table as p**2 pairs.
+PLAN_CAP_PAIRS = 1 << 21
+
+
 class _Bail(Exception):
     """The schedule is not analytically exact here (rendezvous inside a
     cyclic pattern); the caller replays the event path instead."""
+
+
+class _Plan:
+    """The clock-free part of a macro evaluation for one ``(members,
+    kind, algorithm, root)``.
+
+    ``idx`` maps group rank to global rank and ``nodes`` to machine
+    node.  Each entry of ``rounds`` is one send round ``(srcs, dsts,
+    keys, fixed)``: group-rank columns, the interned FIFO keys
+    ``src * n + dst`` (int64), and the fixed wire cost ``alpha + hops *
+    tau`` per pair.  Everything here is a pure function of the run's
+    topology, rank map, link and size, all fixed for the run.
+    """
+
+    __slots__ = ("members", "idx", "nodes", "topo", "latency", "per_hop",
+                 "n", "rounds", "size")
+
+    def __init__(self, run: Any, members: Sequence[int]):
+        p = len(members)
+        self.members = members
+        self.idx = np.fromiter(members, np.intp, count=p)
+        ab = run.delivery  # guaranteed AlphaBetaDelivery by the engine
+        self.nodes = np.asarray(ab.rank_map, dtype=np.int64)[self.idx]
+        machine = ab.machine
+        self.topo = machine.topology
+        self.latency = machine.link.latency_s
+        self.per_hop = machine.link.per_hop_s
+        self.n = run._n
+        self.rounds: List[tuple] = []
+        self.size = p  # pair entries held, for the table bound
+
+    def round(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple:
+        """The static columns of one send round from group ranks
+        ``srcs`` to ``dsts`` (distinct pairs, no self-sends)."""
+        hops = self.topo.hops_array(self.nodes[srcs], self.nodes[dsts])
+        fixed = np.where(hops == 0, 0.0, self.latency + hops * self.per_hop)
+        idx = self.idx
+        keys = idx[srcs].astype(np.int64) * self.n + idx[dsts]
+        return srcs, dsts, keys, fixed
+
+
+def _dissemination(p: int, root: int):
+    """Barrier rounds: every rank sends to ``rank + 2**k`` (mod p)."""
+    idx = np.arange(p, dtype=np.intp)
+    dist = 1
+    while dist < p:
+        dsts = idx + dist
+        dsts[dsts >= p] -= p
+        yield idx, dsts
+        dist <<= 1
+
+
+def _virtual_ranks(p: int, root: int) -> np.ndarray:
+    """Virtual rank -> group rank for a tree rooted at ``root``."""
+    gr_of = np.arange(p, dtype=np.intp) + root
+    gr_of[gr_of >= p] -= p
+    return gr_of
+
+
+def _tree_fanout(p: int, root: int):
+    """Binomial bcast rounds: in round k every virtual rank ``vr <
+    2**k`` that has the payload sends to ``vr + 2**k``."""
+    gr_of = _virtual_ranks(p, root)
+    mask = 1
+    while mask < p:
+        parents = np.arange(min(mask, p - mask), dtype=np.intp)
+        yield gr_of[parents], gr_of[parents + mask]
+        mask <<= 1
+
+
+def _tree_fanin(p: int, root: int):
+    """Binomial reduce rounds, by mask: virtual rank ``vr + mask``
+    sends its accumulator to ``vr`` for every ``vr`` divisible by
+    ``2 * mask``."""
+    gr_of = _virtual_ranks(p, root)
+    mask = 1
+    while mask < p:
+        step = mask << 1
+        vrs = np.arange(0, p - mask, step, dtype=np.intp)
+        yield gr_of[vrs + mask], gr_of[vrs]
+        mask = step
+
+
+def _butterfly(p: int, root: int):
+    """Recursive-doubling exchange rounds over the largest power of two
+    <= p: rank r swaps with ``r ^ 2**k``."""
+    pof2 = 1
+    while pof2 * 2 <= p:
+        pof2 *= 2
+    idx = np.arange(pof2, dtype=np.intp)
+    mask = 1
+    while mask < pof2:
+        yield idx, idx ^ mask
+        mask <<= 1
+
+
+#: (kind, algorithm) -> its send rounds as (srcs, dsts) per round, as a
+#: function of (p, root).  The other evaluators send message by message.
+_ROUNDS = {
+    ("barrier", "dissemination"): _dissemination,
+    ("bcast", "tree"): _tree_fanout,
+    ("bcast", "tree_nb"): _tree_fanout,
+    ("reduce", "binomial"): _tree_fanin,
+    ("allreduce", "recursive_doubling"): _butterfly,
+}
+
+
+def plan(
+    run: Any, group: Optional[tuple], kind: str, algorithm: Any, root: int
+) -> _Plan:
+    """The run's plan for one invocation shape, built on first use.
+
+    ``group`` is the member tuple, or ``None`` for the world.  A plan
+    larger than :data:`PLAN_CAP_PAIRS` is used once and not kept.
+    """
+    key = (group, kind, algorithm, root)
+    plans = run._plans
+    found = plans.get(key)
+    if found is not None:
+        return found
+    made = _Plan(run, run.world_members() if group is None else group)
+    shape = _ROUNDS.get((kind, algorithm))
+    if shape is not None:
+        for srcs, dsts in shape(len(made.members), root):
+            made.rounds.append(made.round(srcs, dsts))
+            made.size += len(srcs)
+    size = made.size
+    if size <= PLAN_CAP_PAIRS:
+        if run._plan_pairs + size > PLAN_CAP_PAIRS:
+            plans.clear()
+            run._plan_pairs = 0
+        plans[key] = made
+        run._plan_pairs += size
+    return made
 
 
 class _Sched:
@@ -83,14 +246,15 @@ class _Sched:
     """
 
     __slots__ = (
-        "run", "members", "p", "idx", "clock", "comm_t", "sent_n", "sent_b",
-        "recv_n", "recv_b", "eager_max", "ab", "n", "overlay", "last",
-        "oh_memo", "members_arr", "nodes", "topo", "latency", "per_hop",
-        "bw", "fifo_cap",
+        "run", "plan", "members", "p", "idx", "clock", "comm_t", "sent_n",
+        "sent_b", "recv_n", "recv_b", "eager_max", "ab", "n", "overlay",
+        "last", "oh_memo", "latency", "bw", "fifo_cap",
     )
 
-    def __init__(self, run: Any, members: Sequence[int], clocks: Sequence[float]):
+    def __init__(self, run: Any, plan: _Plan, clocks: Sequence[float]):
         self.run = run
+        self.plan = plan
+        members = plan.members
         self.members = members
         p = len(members)
         self.p = p
@@ -102,7 +266,7 @@ class _Sched:
             # Columnar gather: one fancy-index copy per stats column
             # out of the run's MachineState (the live values the
             # per-rank reads below would see, bit for bit).
-            idx = np.fromiter(members, np.intp, count=p)
+            idx = plan.idx
             ms = run.ms
             self.comm_t = ms.comm_time[idx]
             self.sent_n = ms.messages_sent[idx]
@@ -129,24 +293,19 @@ class _Sched:
             )
             self.idx = None
         self.eager_max = run._eager_max
-        ab = run.delivery  # guaranteed AlphaBetaDelivery by the engine
+        ab = run.delivery
         self.ab = ab
         self.n = run._n
         self.overlay: dict = {}
-        last = run._last_arrival
-        self.last = last
+        self.last = run._last_arrival
         # Upper bound on every arrival recorded in ``last`` + overlay:
         # lets send_round prove "no FIFO clamp can fire this round" in
         # O(1) and skip the per-pair dict probes entirely.
-        self.fifo_cap = max(last.values()) if last else float("-inf")
+        self.fifo_cap = run._last_hi
         self.oh_memo = run._overhead
-        self.members_arr = np.asarray(members, dtype=np.int64)
-        self.nodes = np.asarray(ab.rank_map, dtype=np.int64)[self.members_arr]
-        machine = ab.machine
-        link = machine.link
-        self.topo = machine.topology
-        self.latency = link.latency_s
-        self.per_hop = link.per_hop_s
+        # src != dst in every round, so the sender overhead is the
+        # constant the memo would hold for every round pair.
+        self.latency = plan.latency
         self.bw = ab._bw
 
     # -- message primitives -------------------------------------------------
@@ -223,31 +382,33 @@ class _Sched:
 
     # -- vectorised round primitives ----------------------------------------
 
-    def send_round(self, srcs, dsts, nbytes) -> "np.ndarray":
+    def send_round(self, rnd: tuple, nbytes) -> "np.ndarray":
         """Vectorised :meth:`send` for one permutation round.
 
-        Every listed source issues one send; (src, dst) pairs are
-        distinct, no pair is a self-send, and each destination's
-        matching receive is posted at its current clock (the acyclic /
-        round-phased precondition of :meth:`send`).  ``nbytes`` is a
-        scalar or per-pair array.  Element for element the float
-        expressions match :meth:`send` exactly; callers inside cyclic
-        schedules must reject rendezvous sizes *before* calling (see
-        :meth:`send`'s eager-only counterpart).
+        ``rnd`` is a :meth:`_Plan.round`: every listed source issues one
+        send; (src, dst) pairs are distinct, no pair is a self-send, and
+        each destination's matching receive is posted at its current
+        clock (the acyclic / round-phased precondition of :meth:`send`).
+        ``nbytes`` is a scalar or per-pair array.  Element for element
+        the float expressions match :meth:`send` exactly; callers inside
+        cyclic schedules must reject rendezvous sizes *before* calling
+        (see :meth:`send`'s eager-only counterpart).
         """
+        srcs, dsts, keys, fixed = rnd
         clock = self.clock
         now = clock[srcs]
-        rdv = nbytes > self.eager_max
-        if np.any(rdv):
-            # Handshake: start no earlier than the posted receive.
-            starts = np.where(rdv, np.maximum(clock[dsts], now), now)
+        # Rendezvous handshake: start no earlier than the posted receive.
+        if type(nbytes) is np.ndarray:
+            starts = np.where(
+                nbytes > self.eager_max, np.maximum(clock[dsts], now), now
+            )
+        elif nbytes > self.eager_max:
+            starts = np.maximum(clock[dsts], now)
         else:
             starts = now
-        hops = self.topo.hops_array(self.nodes[srcs], self.nodes[dsts])
-        fixed = np.where(hops == 0, 0.0, self.latency + hops * self.per_hop)
         arrivals = starts + (fixed + nbytes / self.bw)
         # Per-pair FIFO clamp against the run's live table + overlay.
-        keys = (self.members_arr[srcs] * self.n + self.members_arr[dsts]).tolist()
+        keys = keys.tolist()
         overlay = self.overlay
         cap = self.fifo_cap
         if cap > float(arrivals.min()):
@@ -284,8 +445,6 @@ class _Sched:
         new_max = float(arrivals.max())
         if new_max > cap:
             self.fifo_cap = new_max
-        # src != dst throughout, so the sender overhead is the constant
-        # the memo would hold for every pair.
         oh = self.latency
         clock[srcs] = starts + oh
         # (starts - now) is exactly 0.0 for eager sends, so one fused
@@ -341,24 +500,28 @@ class _Sched:
         # (send coerces, the round primitives store tolist products), so
         # the merge is one C-level bulk update.
         self.last.update(self.overlay)
+        # fifo_cap started at the run's bound and only grew.
+        self.run._last_hi = self.fifo_cap
         self.clock = clock
 
 
 def _round_sizes(values: Sequence[Any]) -> Tuple[Any, int, bool]:
     """Wire sizes for one round's payloads: ``(nbytes, max, scalars)``.
 
-    Python floats/ints dominate collective payloads and are a constant
-    8 wire bytes (exactly what :func:`payload_nbytes` returns for
-    them), so the common case skips the per-payload call.  ``scalars``
-    additionally tells the caller that :func:`copy_payload` would be
-    the identity on every payload.
+    ``nbytes`` is one int when every payload has the same size, else a
+    per-pair array.  Python floats/ints dominate collective payloads
+    and are a constant 8 wire bytes (exactly what :func:`payload_nbytes`
+    returns for them), so the common case skips the per-payload call.
+    ``scalars`` additionally tells the caller that :func:`copy_payload`
+    would be the identity on every payload.
     """
     if all(type(v) is float or type(v) is int for v in values):
         return 8, 8, True
-    arr = np.fromiter(
-        (payload_nbytes(v) for v in values), np.int64, count=len(values)
-    )
-    return arr, int(arr.max()) if len(values) else 0, False
+    sizes = [payload_nbytes(v) for v in values]
+    hi = max(sizes)
+    if min(sizes) == hi:
+        return hi, hi, False
+    return np.array(sizes, dtype=np.int64), hi, False
 
 
 # -- per-algorithm schedules ------------------------------------------------
@@ -368,29 +531,25 @@ def _round_sizes(values: Sequence[Any]) -> Tuple[Any, int, bool]:
 # for symmetric patterns (all sends of a phase, then all recvs), and in
 # dependency order for trees/rings/stars.  Within a phase, distinct
 # ranks and distinct (src, dst) pairs make evaluation order irrelevant.
+# Round-phased schedules take their rounds from the plan (``_ROUNDS``).
 
 
 def _eval_barrier(s: _Sched, ghost: bool = False) -> List[Any]:
-    p = s.p
     if 0 > s.eager_max:
         # An "everything rendezvous" configuration makes even the
         # empty-payload dissemination shifts synchronous, and the
         # pattern is cyclic: let the event path decide (it may
         # legitimately deadlock).
         raise _Bail
-    idx = np.arange(p, dtype=np.intp)
-    dist = 1
-    while dist < p:
-        dsts = idx + dist
-        dsts[dsts >= p] -= p
-        arrivals = s.send_round(idx, dsts, 0)  # nbytes 0: always eager
-        s.recv_round(dsts, arrivals, 0)
-        dist <<= 1
-    return [None] if ghost else [None] * p
+    for rnd in s.plan.rounds:
+        arrivals = s.send_round(rnd, 0)  # nbytes 0: always eager
+        s.recv_round(rnd[1], arrivals, 0)
+    return [None] if ghost else [None] * s.p
 
 
 def _eval_bcast_tree(
-    s: _Sched, root: int, value: Any, ghost: bool = False
+    s: _Sched, root: int, value: Any, ghost: bool = False,
+    nonblocking: bool = False,
 ) -> List[Any]:
     """Binomial tree, round-phased: in round k every virtual rank
     ``vr < 2**k`` that has its payload sends to ``vr + 2**k``.  Parent
@@ -398,66 +557,34 @@ def _eval_bcast_tree(
     child) pair occurs exactly once in the whole tree, so the phased
     evaluation is order-equivalent to walking ranks in increasing
     virtual-rank order (each child's entry clock is untouched until its
-    first-op recv runs, each parent's sends happen in mask order)."""
-    p = s.p
-    gr_of = np.arange(p, dtype=np.intp) + root  # virtual rank -> group rank
-    gr_of[gr_of >= p] -= p
-    if ghost:
-        # Delivery copies preserve wire size, so the root payload sizes
-        # every round; only group rank 0's delivery is observable, and
-        # it follows the event path's buffering (scalars pass through,
-        # anything else is a copy -- unless rank 0 *is* the root).
-        scalars = type(value) is float or type(value) is int
-        nbytes = 8 if scalars else payload_nbytes(value)
-        mask = 1
-        while mask < p:
-            parents = np.arange(min(mask, p - mask), dtype=np.intp)
-            children = parents + mask
-            arrivals = s.send_round(gr_of[parents], gr_of[children], nbytes)
-            s.recv_round(gr_of[children], arrivals, nbytes)
-            mask <<= 1
-        return [value if (root == 0 or scalars) else copy_payload(value)]
-    vals: List[Any] = [None] * p     # delivered payloads, by virtual rank
-    vals[0] = value
-    out: List[Any] = [None] * p      # return values, by group rank
-    mask = 1
-    while mask < p:
-        parents = np.arange(min(mask, p - mask), dtype=np.intp)
-        children = parents + mask
-        plist = parents.tolist()
-        nbytes, _, scalars = _round_sizes([vals[vp] for vp in plist])
-        arrivals = s.send_round(gr_of[parents], gr_of[children], nbytes)
-        s.recv_round(gr_of[children], arrivals, nbytes)
-        if scalars:
-            for vp, vc in zip(plist, children.tolist()):
-                vals[vc] = vals[vp]
-        else:
-            for vp, vc in zip(plist, children.tolist()):
-                vals[vc] = copy_payload(vals[vp])
-        mask <<= 1
-    for vr in range(p):
-        out[gr_of[vr]] = vals[vr]
-    return out
+    first-op recv runs, each parent's sends happen in mask order).
 
+    Delivery copies preserve wire size, so the root payload sizes every
+    round, and every non-root member ends up with one buffered copy of
+    it (scalars pass through) -- what the event path's copy chain
+    delivers.  ``ghost`` assembles group rank 0's delivery only.
 
-def _eval_bcast_tree_nb(
-    s: _Sched, root: int, value: Any, ghost: bool = False
-) -> List[Any]:
-    """Non-blocking binomial tree (lu2d/summa's pipelined panel path).
-
-    With every message eager, ``tree_nb`` is expression-identical to
-    the blocking tree: an eager isend charges the same overhead at the
-    same clock as a blocking send and resumes at the same ``clear``,
-    and the trailing waits find ready handles (``complete_at`` is
-    always <= the waiter's clock), costing zero comm time and moving no
-    clock.  Payload size is invariant down the tree (delivery copies
-    preserve it), so one root-size check covers every round.  Any
+    ``nonblocking`` is lu2d/summa's pipelined ``tree_nb``.  With every
+    message eager it is expression-identical to the blocking tree: an
+    eager isend charges the same overhead at the same clock as a
+    blocking send and resumes at the same ``clear``, and the trailing
+    waits find ready handles (``complete_at`` is always <= the waiter's
+    clock), costing zero comm time and moving no clock.  A
     rendezvous-sized message decouples the transfer from the sender's
     progress -- real overlap only the event path reproduces -- so bail.
     """
-    if payload_nbytes(value) > s.eager_max:
+    scalars = type(value) is float or type(value) is int
+    nbytes = 8 if scalars else payload_nbytes(value)
+    if nonblocking and nbytes > s.eager_max:
         raise _Bail
-    return _eval_bcast_tree(s, root, value, ghost)
+    for rnd in s.plan.rounds:
+        arrivals = s.send_round(rnd, nbytes)
+        s.recv_round(rnd[1], arrivals, nbytes)
+    n_out = 1 if ghost else s.p
+    if scalars:
+        return [value] * n_out
+    cp = copy_payload
+    return [value if g == root else cp(value) for g in range(n_out)]
 
 
 def _eval_bcast_ring(s: _Sched, root: int, value: Any) -> List[Any]:
@@ -503,45 +630,27 @@ def _eval_reduce(s: _Sched, root: int, reqs: Sequence[CollectiveReq]) -> List[An
     """Binomial reduction: round-phased by mask; pairs within a round
     are disjoint.  Each receiver combines with *its own* resolved op,
     as the event path does."""
-    p = s.p
-    accs: List[Any] = [None] * p  # by virtual rank
-    for g in range(p):
-        vr = g - root
-        if vr < 0:
-            vr += p
-        accs[vr] = reqs[g].value
-    gr_of = np.arange(p, dtype=np.intp) + root  # virtual rank -> group rank
-    gr_of[gr_of >= p] -= p
-    mask = 1
-    while mask < p:
-        step = mask << 1
-        vrs = np.arange(0, p, step, dtype=np.intp)
-        partners = vrs + mask
-        alive = partners < p
-        vrs = vrs[alive]
-        partners = partners[alive]
-        if len(vrs):
-            receivers = gr_of[vrs]
-            senders = gr_of[partners]
-            plist = partners.tolist()
-            nbytes, _, scalars = _round_sizes([accs[pt] for pt in plist])
-            arrivals = s.send_round(senders, receivers, nbytes)
-            s.recv_round(receivers, arrivals, nbytes)
-            if scalars:
-                for v, pt, g in zip(vrs.tolist(), plist, receivers.tolist()):
-                    accs[v] = reqs[g].op(accs[v], accs[pt])
-            else:
-                for v, pt, g in zip(vrs.tolist(), plist, receivers.tolist()):
-                    accs[v] = reqs[g].op(accs[v], copy_payload(accs[pt]))
-        mask = step
-    out: List[Any] = [None] * p
-    out[root] = accs[0]
+    accs = [req.value for req in reqs]  # by group rank
+    for rnd in s.plan.rounds:
+        senders = rnd[0].tolist()
+        receivers = rnd[1].tolist()
+        nbytes, _, scalars = _round_sizes([accs[g] for g in senders])
+        arrivals = s.send_round(rnd, nbytes)
+        s.recv_round(rnd[1], arrivals, nbytes)
+        if scalars:
+            for src, g in zip(senders, receivers):
+                accs[g] = reqs[g].op(accs[g], accs[src])
+        else:
+            for src, g in zip(senders, receivers):
+                accs[g] = reqs[g].op(accs[g], copy_payload(accs[src]))
+    out: List[Any] = [None] * s.p
+    out[root] = accs[root]
     return out
 
 
 def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
     """Recursive doubling: acyclic fold of the non-power-of-two excess,
-    eager-only butterfly, acyclic hand-back."""
+    eager-only butterfly (the plan's rounds), acyclic hand-back."""
     p = s.p
     accs = [req.value for req in reqs]
     pof2 = 1
@@ -554,16 +663,14 @@ def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
         arrival = s.send(r, r - pof2, nbytes)
         s.recv(r - pof2, arrival, nbytes)
         accs[r - pof2] = reqs[r - pof2].op(accs[r - pof2], copy_payload(payload))
-    idx = np.arange(pof2, dtype=np.intp)
     mask = 1
-    while mask < pof2:
+    for rnd in s.plan.rounds:
         snapshot = accs[:pof2]  # payloads are the round-start accumulators
         nbytes, nb_max, scalars = _round_sizes(snapshot)
         if nb_max > s.eager_max:
             raise _Bail  # rendezvous inside the butterfly: event path decides
-        partners = idx ^ mask
-        arrivals = s.send_round(idx, partners, nbytes)
-        s.recv_round(partners, arrivals, nbytes)
+        arrivals = s.send_round(rnd, nbytes)
+        s.recv_round(rnd[1], arrivals, nbytes)
         if scalars:
             for r in range(pof2):
                 accs[r] = reqs[r].op(accs[r], snapshot[r ^ mask])
@@ -640,18 +747,18 @@ def _eval_alltoall(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
 
 def evaluate(
     run: Any,
-    members: Sequence[int],
+    plan: _Plan,
     reqs: Sequence[CollectiveReq],
     clocks: Sequence[float],
     ghost: bool = False,
 ) -> Optional[Tuple[List[float], List[Any]]]:
     """Evaluate one complete collective invocation analytically.
 
-    ``reqs``/``clocks`` are indexed by group rank; ``members`` maps
-    group rank to global rank.  Returns ``(finish_times, values)`` per
+    ``plan`` is this invocation's :func:`plan`; ``reqs``/``clocks`` are
+    indexed by group rank.  Returns ``(finish_times, values)`` per
     group rank with clocks/stats/clamp-state already committed, or
     ``None`` when the schedule cannot be reproduced exactly (the caller
-    then falls back to the event path; nothing was mutated).
+    then falls back to the event path; nothing observable was mutated).
 
     ``ghost`` is the closed-form engine's contract: every entry of
     ``reqs`` is the *same* request object (a rank-symmetric program
@@ -664,7 +771,7 @@ def evaluate(
     """
     req0 = reqs[0]
     kind = req0.kind
-    s = _Sched(run, members, clocks)
+    s = _Sched(run, plan, clocks)
     try:
         if kind == "barrier":
             out = _eval_barrier(s, ghost)
@@ -675,7 +782,7 @@ def evaluate(
             if alg == "tree":
                 out = _eval_bcast_tree(s, root, value, ghost)
             elif alg == "tree_nb":
-                out = _eval_bcast_tree_nb(s, root, value, ghost)
+                out = _eval_bcast_tree(s, root, value, ghost, nonblocking=True)
             elif alg == "ring":
                 out = _eval_bcast_ring(s, root, value)
             elif alg == "flat":

@@ -16,7 +16,8 @@ and whether the grid wraps.  :func:`exchange` (exposed as
 becomes one :class:`~repro.simmpi.requests.CollectiveReq` priced in
 closed form by :func:`eval_exchange` through
 :class:`~repro.simmpi.macro._Sched` -- the same transactional
-clocks/stats/FIFO-overlay machinery the collective evaluators use --
+clocks/stats/FIFO-overlay machinery and round builder the collective
+evaluators use --
 and otherwise (tracing, contention delivery, faults, or a
 per-invocation bail) the real send/recv sequence runs on the event
 path.  Both routes are bit-identical in makespans, per-rank stats, and
@@ -315,17 +316,23 @@ def eval_exchange(
         # Specs are immutable and hashable; the columns are read-only
         # here, so one derivation serves every epoch of the phase.
         peers = _PEER_COLUMNS[spec] = spec.peer_columns()
+    # Rounds go through the plan's round builder but are not kept in it:
+    # a point runs a phase at most ``steps`` times, and the peer
+    # columns above are already memoised.
+    round_of = s.plan.round
     idx = np.arange(p, dtype=np.intp)
     arrivals: List[np.ndarray] = []
     for j in range(k):
         pa = peers[j]
         if spec.wrap:
-            arrivals.append(s.send_round(idx, pa.astype(np.intp), nb[j]))
+            arrivals.append(s.send_round(round_of(idx, pa.astype(np.intp)), nb[j]))
         else:
             srcs = idx[pa >= 0]
             dense = np.zeros(p, dtype=np.float64)
             if srcs.size:
-                dense[srcs] = s.send_round(srcs, pa[srcs].astype(np.intp), nb[j])
+                dense[srcs] = s.send_round(
+                    round_of(srcs, pa[srcs].astype(np.intp)), nb[j]
+                )
             arrivals.append(dense)
     mirrors = spec.mirrors
     for j in range(k):
