@@ -183,7 +183,6 @@ def distributed_run(
     seed: int = 0,
     trace: bool = False,
     macro_ops: bool = True,
-    columnar: bool = True,
 ) -> CFDRun:
     """Run the strip-decomposed solver; reassemble the global field."""
     u0 = np.asarray(u0, dtype=float)
@@ -197,8 +196,7 @@ def distributed_run(
             f"{n_ranks} ranks over {config.ny} rows leaves empty strips"
         )
     engine = Engine(
-        machine, n_ranks, seed=seed, trace=trace,
-        macro_ops=macro_ops, columnar=columnar,
+        machine, n_ranks, seed=seed, trace=trace, macro_ops=macro_ops
     )
     sim = engine.run(cfd_program, u0, config, steps)
     field = np.zeros_like(u0)
@@ -303,7 +301,6 @@ def distributed_run_2d(
     seed: int = 0,
     trace: bool = False,
     macro_ops: bool = True,
-    columnar: bool = True,
 ) -> CFDRun:
     """Run the 2-D block-decomposed solver; reassemble the field."""
     u0 = np.asarray(u0, dtype=float)
@@ -322,8 +319,7 @@ def distributed_run_2d(
             f"{config.ny}x{config.nx} field leaves empty blocks"
         )
     engine = Engine(
-        machine, grid.size, seed=seed, trace=trace,
-        macro_ops=macro_ops, columnar=columnar,
+        machine, grid.size, seed=seed, trace=trace, macro_ops=macro_ops
     )
     sim = engine.run(cfd_program_2d, grid, u0, config, steps)
     field = np.zeros_like(u0)

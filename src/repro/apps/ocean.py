@@ -230,7 +230,6 @@ def distributed_run(
     seed: int = 0,
     trace: bool = False,
     macro_ops: bool = True,
-    columnar: bool = True,
     certificate=None,
 ) -> OceanRun:
     """Run the decomposed model; reassemble the global state.
@@ -251,8 +250,7 @@ def distributed_run(
         )
     engine = Engine(
         machine, n_ranks, seed=seed, trace=trace,
-        macro_ops=macro_ops, columnar=columnar,
-        certificate=certificate,
+        macro_ops=macro_ops, certificate=certificate,
     )
     sim = engine.run(ocean_program, state0, config, steps)
     h = np.zeros_like(state0.h)

@@ -199,7 +199,6 @@ def lu2d(
     delivery="alphabeta",
     trace: bool = False,
     macro_ops: bool = True,
-    columnar: bool = True,
 ) -> LU2DResult:
     """Factor ``a`` on a process grid; reassemble the packed factor.
 
@@ -209,9 +208,7 @@ def lu2d(
     ``trace`` records message logs and activity spans for
     :mod:`repro.obs` analysis.  ``macro_ops=False`` forces collectives
     through the per-message event cascade (the benchmark baselines pin
-    event counts on that path); ``columnar=False`` routes whole-machine
-    state updates through scalar per-rank loops instead of the
-    vectorised columns (the A/B axis of the equivalence suite).
+    event counts on that path).
     """
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
@@ -231,7 +228,6 @@ def lu2d(
         eager_threshold_bytes=eager_threshold_bytes,
         delivery=delivery,
         macro_ops=macro_ops,
-        columnar=columnar,
     )
     sim = engine.run(lu2d_program, grid, a, nb, overlap)
     lu = np.zeros((n, n))

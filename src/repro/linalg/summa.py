@@ -126,7 +126,6 @@ def summa(
     delivery="alphabeta",
     trace: bool = False,
     macro_ops: bool = True,
-    columnar: bool = True,
     certificate=None,
 ) -> DistributedMatmul:
     """Multiply on a simulated machine and reassemble the result.
@@ -134,9 +133,7 @@ def summa(
     ``overlap``, ``eager_threshold_bytes`` and ``delivery`` tune the
     simulated communication without changing the numerics; ``trace``
     records spans for :mod:`repro.obs` analysis; ``macro_ops=False``
-    forces collectives through the per-message event cascade;
-    ``columnar=False`` routes whole-machine state updates through
-    scalar per-rank loops instead of the vectorised columns.
+    forces collectives through the per-message event cascade.
     ``certificate`` passes a
     :class:`~repro.analyze.certify.MacroCertificate` through to the
     engine; the certificate's recorded ``overlap`` assumption must
@@ -167,7 +164,6 @@ def summa(
         eager_threshold_bytes=eager_threshold_bytes,
         delivery=delivery,
         macro_ops=macro_ops,
-        columnar=columnar,
         certificate=certificate,
     )
     sim = engine.run(

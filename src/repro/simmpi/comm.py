@@ -469,7 +469,7 @@ class CommTable:
     Bring-up registers only the table (O(1)); a rank's communicator is
     built the first time that rank is resumed.  Engine-level flags set
     before the run (tracing, macro-ops) are applied at materialization,
-    so a late-built Comm is indistinguishable from an eagerly-built one.
+    so when a Comm is built never changes how it behaves.
     Under a macro certificate or a closed-form run, ranks that are never
     resumed never get a Comm (or an rng, or a generator frame) at all --
     their clocks and stats live in the columnar ``MachineState``.
@@ -505,22 +505,3 @@ class CommTable:
             self._comms[rank] = comm
             self.materialized += 1
         return comm
-
-    def materialize_all(self) -> None:
-        """Eagerly build every rank's Comm with concrete rng streams.
-
-        This is the A/B reference path (``Engine(lazy=False)``): one
-        batched stream derivation, then p communicator objects up front,
-        exactly what the pre-lazy engine did at bring-up.
-        """
-        gens = self.streams.generators()
-        comms = self._comms
-        for rank in range(self.size):
-            if comms[rank] is None:
-                comm = Comm(rank, self.size, self.machine, gens[rank])
-                comm._tracing = self.tracing
-                comm._macro = self.macro
-                comms[rank] = comm
-                self.materialized += 1
-            elif comms[rank]._rng is None:
-                comms[rank]._rng = gens[rank]

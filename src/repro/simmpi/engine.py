@@ -52,9 +52,8 @@ while the buffered event would also have been the next heap pop
 sequence number wins, exactly as before).  Events that wake another
 rank, and any event that loses that race, go through the heap
 unchanged, so the processed event order -- and therefore makespans,
-statistics, and traced spans -- is bit-identical with the fast path on
-or off (``Engine(fast_path=False)`` forces every event through the
-heap; the equivalence is asserted in tests).
+statistics, and traced spans -- is the one a heap-only loop produces
+(``tests/simmpi/test_engine_golden.py`` pins those outputs).
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.machine.machine import Machine
-from repro.simmpi.comm import Comm, CommTable
+from repro.simmpi.comm import CommTable
 from repro.simmpi.delivery import AlphaBetaDelivery, DeliveryModel, resolve_delivery
 from repro.simmpi.protocol import EagerProtocol, Protocol, RendezvousProtocol
 from repro.simmpi.macro import SUPPORTED as _MACRO_SUPPORTED
@@ -92,7 +91,6 @@ from repro.simmpi.requests import (
 from repro.simmpi.state import (
     MachineState,
     RankState,
-    RankStatsView,
     ReceiveSlot,
     SendHandle,
 )
@@ -141,15 +139,15 @@ class SimResult:
     macro_fallbacks: int = 0
     #: Wall-clock seconds of machine bring-up: everything ``run()`` did
     #: before the first event (certificate validation, stream/comm
-    #: tables, columnar state, and -- on the eager path -- every rank's
-    #: Comm/rng/generator frame).
+    #: tables, columnar state).  Per-rank Comm/rng/generator frames are
+    #: built later, on each rank's first resume.
     setup_wall_s: float = 0.0
     #: Wall-clock seconds inside the event loop (or the closed-form
     #: replay) plus result finalization.
     execute_wall_s: float = 0.0
-    #: Ranks whose Comm/generator frame was actually constructed.  On
-    #: the eager path this equals ``n_ranks``; a lazy closed-form run
-    #: materializes only rank 0.
+    #: Ranks whose Comm/generator frame was actually constructed.  An
+    #: event-path run materializes every rank it resumes; a closed-form
+    #: run materializes only rank 0.
     ranks_materialized: int = 0
 
     @property
@@ -221,18 +219,14 @@ class Engine:
         ``run()`` binds a fresh per-run model (via
         :meth:`DeliveryModel.fresh`) so interleaved runs on one engine
         never share contention state.
-    fast_path:
-        Enable the run-until-block inner loop (default on).  Purely a
-        scheduling shortcut -- results are bit-identical either way;
-        the flag exists for A/B equivalence tests and debugging.
     macro_ops:
         Evaluate eligible collectives as single engine-level macro
         events using the closed-form schedules in
         :mod:`repro.simmpi.macro` instead of replaying their
-        per-message event cascades (default on).  Like ``fast_path``
-        this is purely an execution shortcut: makespans, per-rank
-        stats, and return values are bit-identical (asserted in the
-        A/B equivalence suite); only :attr:`SimResult.events` shrinks.
+        per-message event cascades (default on).  Purely an execution
+        shortcut: makespans, per-rank stats, and return values are
+        bit-identical (asserted in the macro equivalence suites); only
+        :attr:`SimResult.events` shrinks.
         Automatically disabled for the whole run when tracing is on,
         the delivery model is not the plain alpha-beta one (e.g.
         contention), or fault injection is armed -- in those cases
@@ -243,15 +237,6 @@ class Engine:
         unsupported algorithms).  Declared stencil phases
         (:meth:`~repro.simmpi.comm.Comm.exchange`) follow the same
         discipline via :mod:`repro.simmpi.stencil`.
-    columnar:
-        Route whole-machine updates (macro-op resume, stats
-        finalization, makespan reduction) through vectorized operations
-        on the columnar :class:`~repro.simmpi.state.MachineState`
-        arrays instead of per-rank Python loops (default on).  Storage
-        is columnar either way -- the flag only selects between the
-        vectorized and the per-rank update routes, which are
-        bit-identical (asserted in the A/B equivalence suite); it
-        exists for those tests and for debugging.
     certificate:
         A :class:`~repro.analyze.certify.MacroCertificate` for the
         program this engine will run.  The certificate's static proof
@@ -263,26 +248,14 @@ class Engine:
         being silently trusted.  Ignored when macro-ops are disabled
         for the run (tracing, contention, faults) -- the event path
         needs no probe.
-    lazy:
-        Defer per-rank object bring-up (default on).  With ``lazy=True``
-        ``run()`` registers only O(1) tables up front -- a
-        :class:`~repro.util.rng.RankStreams` view of the seed's spawn
-        children and a :class:`~repro.simmpi.comm.CommTable` -- and a
-        rank's :class:`RankState`, Comm, rng, and generator frame are
-        built the first time that rank is touched (resumed, or targeted
-        by a message).  ``lazy=False`` rebuilds everything eagerly at
-        bring-up, exactly as the pre-lazy engine did; both paths are
-        bit-identical in every observable (makespans, stats, traces,
-        event counts -- asserted in the A/B suite) because
-        materialization never touches clocks or statistics.
     closed_form:
         Run the whole program as a closed-form *ghost replay* (default
         off): only rank 0's generator is driven, compute requests
         charge every rank's clock in one vectorized operation, and each
         world collective or declared stencil exchange is priced by the
         macro evaluator from synthesized per-rank requests.  Requires a
-        validated ``certificate``, ``columnar=True``, and macro-ops
-        effectively enabled (untraced, alpha-beta delivery, no faults);
+        validated ``certificate`` and macro-ops effectively enabled
+        (untraced, alpha-beta delivery, no faults);
         the program must be rank-symmetric -- every rank yields the
         same request sequence with payloads of identical wire size (the
         certificate's static proof covers the no-p2p part, and payload
@@ -306,11 +279,8 @@ class Engine:
         fail_at: Optional[Dict[int, float]] = None,
         eager_threshold_bytes: float = float("inf"),
         delivery: Union[str, DeliveryModel] = "alphabeta",
-        fast_path: bool = True,
         macro_ops: bool = True,
-        columnar: bool = True,
         certificate: Optional[Any] = None,
-        lazy: bool = True,
         closed_form: bool = False,
     ):
         self.machine = machine
@@ -340,22 +310,14 @@ class Engine:
             )
         self.eager_threshold_bytes = eager_threshold_bytes
         self.delivery = resolve_delivery(delivery)
-        self.fast_path = fast_path
         self.macro_ops = macro_ops
-        self.columnar = columnar
         self.certificate = certificate
-        self.lazy = lazy
         self.closed_form = closed_form
         if closed_form:
             if certificate is None:
                 raise ConfigurationError(
                     "closed_form runs require a MacroCertificate "
                     "(certify_macro() the program first)"
-                )
-            if not columnar:
-                raise ConfigurationError(
-                    "closed_form runs require columnar=True (all state "
-                    "lives in the MachineState columns)"
                 )
             if trace or fail_at or not macro_ops:
                 raise ConfigurationError(
@@ -394,11 +356,11 @@ class _Run:
         "engine", "machine", "tracer", "delivery", "eager", "rendezvous",
         "protocols", "ranks", "_n", "_eager_max", "_last_arrival",
         "_last_hi", "_overhead", "_plans", "_plan_pairs", "seq", "_heap",
-        "_active", "_fast", "_fast_enabled",
+        "_active", "_fast",
         "comms", "_ab_hops", "_ab", "_tracing", "_flops_denom",
         "_macro_enabled", "_macro_pending", "_world_members",
         "_cert_pure", "_cert_uniform", "_fallbacks",
-        "ms", "_columnar", "_clk", "_blk", "_fin", "_fld",
+        "ms", "_clk", "_blk", "_fin", "_fld",
         "_cpu_t", "_comm_t", "_idle_t", "_fin_t",
         "_sent_n", "_sent_b", "_recv_n", "_recv_b",
         "streams", "resumes", "_program", "_args", "_kwargs",
@@ -439,7 +401,6 @@ class _Run:
         # Array-at-a-time operations keep using the ms.* ndarrays.
         ms = MachineState(engine.n_ranks)
         self.ms = ms
-        self._columnar = engine.columnar
         self._clk = memoryview(ms.clock)
         self._blk = memoryview(ms.blocked)
         self._fin = memoryview(ms.finished)
@@ -453,10 +414,9 @@ class _Run:
         self._recv_n = memoryview(ms.messages_received)
         self._recv_b = memoryview(ms.bytes_received)
         # Per-rank object state materializes lazily (a rank's slot stays
-        # None until the rank is first resumed or targeted); the eager
-        # A/B path (Engine(lazy=False)) fills every slot in execute().
-        # Either way the columns above exist for all ranks from the
-        # start, so whole-machine operations never care.
+        # None until the rank is first resumed or targeted); the columns
+        # above exist for all ranks from the start, so whole-machine
+        # operations never care.
         self.ranks: List[Optional[RankState]] = [None] * engine.n_ranks
         #: Lazily-built generator frames, parallel to ``ranks``.
         self.resumes: List[Optional[Callable]] = [None] * engine.n_ranks
@@ -480,7 +440,6 @@ class _Run:
         # held back from the heap).
         self._active = -1
         self._fast: Optional[tuple] = None
-        self._fast_enabled = engine.fast_path
         #: Rank-side communicator table (set in execute); materializes a
         #: Comm per rank on demand and is consulted for the active phase
         #: label when recording spans.
@@ -781,21 +740,6 @@ class _Run:
         self._clk[rank] = completion
         self.schedule(completion, rank, value)
 
-    def post_receive(self, state: RankState, source: int, tag: int) -> ReceiveSlot:
-        """Post a receive; bind a queued eager message or wake a parked
-        rendezvous sender."""
-        hid = state._next_handle
-        state._next_handle = hid + 1
-        slot = ReceiveSlot(hid, source, tag)
-        # Fast exit: nothing queued at this rank, nothing to match.
-        if state.pending or state.parked:
-            for protocol in self.protocols:
-                if protocol.match_posted_receive(self, state, slot):
-                    break
-        state.handles[hid] = slot
-        state.rslots[hid] = slot
-        return slot
-
     # -- request handlers ----------------------------------------------------
 
     def _handle_compute(self, state: RankState, request: ComputeReq) -> None:
@@ -874,44 +818,25 @@ class _Run:
                     sound = False
                     break
         result = _macro_evaluate(self, plan, reqs, clocks) if sound else None
+        # Vectorized whole-group unblock (on the ndarray; the memoryview
+        # sees it); the loops below only rewire per-rank object state
+        # and resume events.
+        self.ms.blocked[plan.idx] = False
         schedule = self.schedule
-        blk = self._blk
         if result is None:
             self._fallbacks += 1
             clk = self._clk
-            if self._columnar:
-                # Vectorized whole-group unblock (on the ndarray; the
-                # memoryview sees it); the loop below only rewires
-                # per-rank object state and resume events.
-                self.ms.blocked[plan.idx] = False
-                for m in members:
-                    ranks[m].collective = None
-                    schedule(clk[m], m, MACRO_FALLBACK)
-            else:
-                for m in members:
-                    blk[m] = False
-                    ranks[m].collective = None
-                    schedule(clk[m], m, MACRO_FALLBACK)
+            for m in members:
+                ranks[m].collective = None
+                schedule(clk[m], m, MACRO_FALLBACK)
             return
         finishes, values = result
         # evaluate() already committed clocks and stats; the resume
         # events land exactly at each member's new clock, so no idle
         # time is attributed.
-        if self._columnar:
-            self.ms.blocked[plan.idx] = False
-            for i, m in enumerate(members):
-                ranks[m].collective = None
-                schedule(finishes[i], m, values[i])
-        else:
-            for i, m in enumerate(members):
-                blk[m] = False
-                ranks[m].collective = None
-                schedule(finishes[i], m, values[i])
-
-    def _protocol_for(self, nbytes: float) -> Protocol:
-        if nbytes > self.engine.eager_threshold_bytes:
-            return self.rendezvous
-        return self.eager
+        for i, m in enumerate(members):
+            ranks[m].collective = None
+            schedule(finishes[i], m, values[i])
 
     def _eager_send_fast(
         self, state: RankState, request, nbytes: float, handle: Optional[SendHandle]
@@ -1146,8 +1071,9 @@ class _Run:
                 f"rank {state.rank} receives from invalid rank {source}"
             )
         now = self._clk[state.rank]
-        # post_receive, inlined (this is its only engine-internal call
-        # site; the method remains the outward-facing entry point).
+        # Post the receive: bind a queued eager message or wake a parked
+        # rendezvous sender (nothing queued at this rank: nothing to
+        # match).
         hid = state._next_handle
         state._next_handle = hid + 1
         slot = ReceiveSlot(hid, source, request.tag)
@@ -1259,9 +1185,6 @@ class _Run:
         :mod:`repro.simmpi.waitgraph`)."""
         return build_wait_graph(self.ranks, failed_ranks)
 
-    def _deadlock_detail(self, failed_ranks: List[int]) -> str:
-        return self._wait_graph(failed_ranks).describe()
-
     # -- main loop -----------------------------------------------------------
 
     def execute(self, program: Callable, args: tuple, kwargs: dict) -> SimResult:
@@ -1282,9 +1205,10 @@ class _Run:
                 self._cert_uniform = certificate.uniform_exchange
         # Bring-up is O(1) in the rank count: one lazy view of the
         # seed's spawn children and one lazy communicator table.  A
-        # rank's Comm / rng / generator frame materializes the first
-        # time that rank is resumed (Engine(lazy=False) rebuilds the
-        # eager bring-up below for A/B tests).
+        # rank's RankState / Comm / rng / generator frame materializes
+        # the first time that rank is touched (resumed, or targeted by a
+        # message); materialization never reads or writes a clock or a
+        # statistic, so when it happens cannot change a number.
         self.streams = RankStreams(engine.seed, p)
         table = CommTable(p, self.machine, self.streams)
         table.tracing = self.tracer.enabled
@@ -1300,24 +1224,19 @@ class _Run:
                     "delivery model must be plain alpha-beta"
                 )
             return self._execute_closed_form(setup_t0)
-        if not engine.lazy:
-            self.ranks = [RankState(r, self.ms) for r in range(p)]
-            table.materialize_all()
-            for rank in range(p):
-                self._materialize_frame(rank)
         resumes = self.resumes
 
         returns: List[Any] = [None] * p
         failed_ranks: List[int] = []
 
-        # Every rank starts at t=0.  The eager loop pushed p events
-        # (0.0, seq 1..p, rank, None) here; those entries sort before
+        # Every rank starts at t=0, as if p events (0.0, seq 1..p, rank,
+        # None) were pushed here.  Those entries would sort before
         # anything else that can exist while they are pending (heap
         # seqs start past p and no event lands before t=0), so the main
         # loop below delivers them in rank order from a bare counter --
-        # "virtual starts" -- without building p tuples.  Reserving
-        # seqs 1..p keeps every later sequence number, and therefore
-        # the processed event order, bit-identical to the eager loop.
+        # "virtual starts" -- without building p tuples.  Seqs 1..p are
+        # reserved for them, so every later sequence number is the one
+        # the pushed events would have left.
         self.seq = p
         for rank, when in engine.fail_at.items():
             self.schedule(when, rank, _FAIL)
@@ -1349,7 +1268,6 @@ class _Run:
         tracer = self.tracer
         tracing = tracer.enabled
         max_events = engine.max_events
-        fast_enabled = self._fast_enabled
         # Bound column accessors: the loop reads lifecycle flags and
         # clocks per popped event through the memoryviews, which hand
         # back plain Python numbers (no numpy scalars leak into heap
@@ -1413,8 +1331,7 @@ class _Run:
                 resume = resumes[rank]
                 if resume is None:  # lazy bring-up: first resume
                     resume = self._materialize_frame(rank)
-                if fast_enabled:
-                    self._active = rank
+                self._active = rank
                 while True:
                     now = clk[rank]
                     if time > now:
@@ -1487,26 +1404,12 @@ class _Run:
                 failed_ranks=sorted(failed_ranks),
             )
 
-        # Finalization: the columnar route materialises stats and the
-        # makespan with whole-array operations; the per-rank route
-        # walks the views (bit-identical values, asserted in tests).
-        if self._columnar:
-            stats = self.ms.finalize_stats()
-            makespan = self.ms.makespan()
-        else:
-            # Every live rank materialized at its start; failed-early
-            # slots read their stats straight off the columns.
-            stats = [
-                st.stats.snapshot() if st is not None
-                else RankStatsView(self.ms, r).snapshot()
-                for r, st in enumerate(ranks)
-            ]
-            makespan = max(clk[r] for r in range(p)) if p else 0.0
-
+        # Finalization: stats and the makespan come straight off the
+        # columns with whole-array operations.
         return SimResult(
             returns=returns,
-            time=makespan,
-            stats=stats,
+            time=self.ms.makespan(),
+            stats=self.ms.finalize_stats(),
             tracer=self.tracer,
             failed_ranks=sorted(failed_ranks),
             events=events,
@@ -1640,7 +1543,6 @@ def run_program(
     eager_threshold_bytes: float = float("inf"),
     delivery: Union[str, DeliveryModel] = "alphabeta",
     macro_ops: bool = True,
-    columnar: bool = True,
     certificate: Optional[Any] = None,
     **kwargs: Any,
 ) -> SimResult:
@@ -1653,6 +1555,5 @@ def run_program(
         eager_threshold_bytes=eager_threshold_bytes,
         delivery=delivery,
         macro_ops=macro_ops,
-        columnar=columnar,
         certificate=certificate,
     ).run(program, *args, **kwargs)

@@ -246,7 +246,7 @@ class _Sched:
     """
 
     __slots__ = (
-        "run", "plan", "members", "p", "idx", "clock", "comm_t", "sent_n",
+        "run", "plan", "members", "p", "clock", "comm_t", "sent_n",
         "sent_b", "recv_n", "recv_b", "eager_max", "ab", "n", "overlay",
         "last", "oh_memo", "latency", "bw", "fifo_cap",
     )
@@ -254,44 +254,21 @@ class _Sched:
     def __init__(self, run: Any, plan: _Plan, clocks: Sequence[float]):
         self.run = run
         self.plan = plan
-        members = plan.members
-        self.members = members
-        p = len(members)
-        self.p = p
+        self.members = plan.members
+        self.p = len(plan.members)
         # Numpy storage: scalar helpers index element-wise (identical
         # IEEE arithmetic to plain floats), vector helpers price a
         # whole permutation round in a handful of array ops.
         self.clock = np.array(clocks, dtype=np.float64)
-        if run._columnar:
-            # Columnar gather: one fancy-index copy per stats column
-            # out of the run's MachineState (the live values the
-            # per-rank reads below would see, bit for bit).
-            idx = plan.idx
-            ms = run.ms
-            self.comm_t = ms.comm_time[idx]
-            self.sent_n = ms.messages_sent[idx]
-            self.sent_b = ms.bytes_sent[idx]
-            self.recv_n = ms.messages_received[idx]
-            self.recv_b = ms.bytes_received[idx]
-            self.idx: Any = idx
-        else:
-            ranks = run.ranks
-            self.comm_t = np.fromiter(
-                (ranks[m].stats.comm_time for m in members), np.float64, count=p
-            )
-            self.sent_n = np.fromiter(
-                (ranks[m].stats.messages_sent for m in members), np.int64, count=p
-            )
-            self.sent_b = np.fromiter(
-                (ranks[m].stats.bytes_sent for m in members), np.float64, count=p
-            )
-            self.recv_n = np.fromiter(
-                (ranks[m].stats.messages_received for m in members), np.int64, count=p
-            )
-            self.recv_b = np.fromiter(
-                (ranks[m].stats.bytes_received for m in members), np.float64, count=p
-            )
-            self.idx = None
+        # Columnar gather: one fancy-index copy per stats column out of
+        # the run's MachineState.
+        idx = plan.idx
+        ms = run.ms
+        self.comm_t = ms.comm_time[idx]
+        self.sent_n = ms.messages_sent[idx]
+        self.sent_b = ms.bytes_sent[idx]
+        self.recv_n = ms.messages_received[idx]
+        self.recv_b = ms.bytes_received[idx]
         self.eager_max = run._eager_max
         ab = run.delivery
         self.ab = ab
@@ -469,33 +446,16 @@ class _Sched:
         # numpy scalars in the event loop's heap tuples); the committed
         # columns hold the same float64 bits either way.
         clock = self.clock.tolist()
-        if self.idx is not None:
-            # Columnar commit: one fancy-index assignment per column
-            # writes the whole group back to the MachineState.
-            ms = self.run.ms
-            idx = self.idx
-            ms.clock[idx] = self.clock
-            ms.comm_time[idx] = self.comm_t
-            ms.messages_sent[idx] = self.sent_n
-            ms.bytes_sent[idx] = self.sent_b
-            ms.messages_received[idx] = self.recv_n
-            ms.bytes_received[idx] = self.recv_b
-        else:
-            ranks = self.run.ranks
-            comm_t = self.comm_t.tolist()
-            sent_n = self.sent_n.tolist()
-            sent_b = self.sent_b.tolist()
-            recv_n = self.recv_n.tolist()
-            recv_b = self.recv_b.tolist()
-            for g, m in enumerate(self.members):
-                st = ranks[m]
-                st.clock = clock[g]
-                stats = st.stats
-                stats.comm_time = comm_t[g]
-                stats.messages_sent = sent_n[g]
-                stats.bytes_sent = sent_b[g]
-                stats.messages_received = recv_n[g]
-                stats.bytes_received = recv_b[g]
+        # One fancy-index assignment per column writes the whole group
+        # back to the MachineState.
+        ms = self.run.ms
+        idx = self.plan.idx
+        ms.clock[idx] = self.clock
+        ms.comm_time[idx] = self.comm_t
+        ms.messages_sent[idx] = self.sent_n
+        ms.bytes_sent[idx] = self.sent_b
+        ms.messages_received[idx] = self.recv_n
+        ms.bytes_received[idx] = self.recv_b
         # Every overlay value is a plain Python float by construction
         # (send coerces, the round primitives store tolist products), so
         # the merge is one C-level bulk update.

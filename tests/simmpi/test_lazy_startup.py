@@ -1,14 +1,12 @@
-"""Lazy bring-up: CommTable, A/B bit-identity, faults, and ghost replay.
+"""Lazy bring-up: CommTable, bit identity, faults, and ghost replay.
 
-The lazy-startup refactor defers every per-rank object -- Comm, rng,
-generator frame, RankState -- to the rank's first resume, and (under a
-macro certificate with ``closed_form=True``) replays only rank 0 while
-the columns carry everyone else.  The contract throughout is *bit
-identity*: ``Engine(lazy=False)`` rebuilds the eager bring-up, and
-every observable of a lazy run -- makespan, returns, per-rank stats,
-event counts, traces, failure reporting -- must equal the eager run's
-exactly, across protocols, delivery models, tracing, and fault
-injection.
+Bring-up defers every per-rank object -- Comm, rng, generator frame,
+RankState -- to the rank's first touch, and (under a macro certificate
+with ``closed_form=True``) replays only rank 0 while the columns carry
+everyone else.  Materialization never touches a clock or a statistic;
+the golden corpus (``test_engine_golden.py``), recorded from the lazy
+and eager bring-ups alike, pins the observable outputs of lazy runs
+across protocols, delivery models, tracing, and fault injection.
 """
 
 import numpy as np
@@ -23,8 +21,10 @@ from repro.simmpi.engine import _Run
 from repro.simmpi.state import LazyRankStats, MachineState, RankState
 from repro.simmpi.stencil import grid_halo
 from repro.simmpi.waitgraph import build_wait_graph
-from repro.util.errors import ConfigurationError, DeadlockError
+from repro.util.errors import ConfigurationError
 from repro.util.rng import RankStreams
+
+from .test_engine_golden import check
 
 
 def toy_machine(n):
@@ -34,6 +34,12 @@ def toy_machine(n):
         topology=FullyConnected(n),
         link=LinkModel(latency_s=1e-5, bandwidth_bytes_per_s=1e8),
     )
+
+
+def _compute_only(comm):
+    acc = float(comm.rng.random())
+    yield from comm.compute(seconds=2.0 + comm.rank * 0.25)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -69,125 +75,50 @@ class TestCommTable:
 
     def test_lazy_rng_matches_eager_rng(self):
         # The observable that must not drift: a late-built Comm's rng
-        # stream is the same spawn child the eager path hands out.
-        lazy = self._table(n=6, seed=42)
-        eager = self._table(n=6, seed=42)
-        eager.materialize_all()
-        assert eager.materialized == 6
+        # stream is rank r's spawn child of the seed, built directly.
+        table = self._table(n=6, seed=42)
+        children = np.random.SeedSequence(42).spawn(6)
         for rank in range(6):
-            got = lazy[rank].rng.bit_generator.state
-            want = eager.peek(rank).rng.bit_generator.state
+            got = table[rank].rng.bit_generator.state
+            want = np.random.default_rng(children[rank]).bit_generator.state
             assert got == want
 
-    def test_materialize_all_backfills_lazy_rng(self):
-        # A rank materialized lazily (rng not yet drawn) then swept by
-        # materialize_all must end up with its concrete stream.
-        table = self._table(n=4, seed=7)
-        early = table[2]
-        assert early._rng is None  # deferred until first draw
-        table.materialize_all()
-        assert table.peek(2) is early
-        want = RankStreams(7, 4)[2].bit_generator.state
-        assert early.rng.bit_generator.state == want
-
 
 # ---------------------------------------------------------------------------
-# A/B: lazy vs eager bring-up is invisible in every observable
+# lazy bring-up reproduces the eager bring-up's frozen outputs
 # ---------------------------------------------------------------------------
-
-def _mixed_program(comm):
-    """P2p + nonblocking + collectives + rng: every materialized path."""
-    draw = float(comm.rng.random())
-    x = float(comm.rank) + draw
-    right = (comm.rank + 1) % comm.size
-    left = (comm.rank - 1) % comm.size
-    handle = yield from comm.isend(x, dest=right, tag=1)
-    msg = yield from comm.recv(source=left, tag=1)
-    yield from comm.wait(handle)
-    total = yield from comm.allreduce(msg.payload)
-    yield from comm.compute(flops=1e4 * (comm.rank + 1))
-    yield from comm.barrier()
-    return total
-
-
-def _compute_only(comm):
-    acc = float(comm.rng.random())
-    yield from comm.compute(seconds=2.0 + comm.rank * 0.25)
-    return acc
-
-
-def _run_ab(program, *, n=8, trace=False, fail_at=None, **kwargs):
-    machine = toy_machine(n)
-    lazy = Engine(machine, n, trace=trace, fail_at=fail_at, **kwargs).run(program)
-    eager = Engine(
-        machine, n, trace=trace, fail_at=fail_at, lazy=False, **kwargs
-    ).run(program)
-    assert eager.ranks_materialized == n
-    return lazy, eager
-
-
-def _assert_identical(lazy, eager):
-    assert lazy.time == eager.time
-    assert lazy.returns == eager.returns
-    assert lazy.stats == eager.stats
-    assert lazy.events == eager.events
-    assert lazy.failed_ranks == eager.failed_ranks
-    assert lazy.tracer.records == eager.tracer.records
-
 
 class TestLazyEagerBitIdentity:
+    """``engine_golden.json`` was recorded while an eager bring-up still
+    existed beside the lazy one, and both produced the same record on
+    every case; lazy runs must keep reproducing it."""
+
     @pytest.mark.parametrize("eager_threshold", [float("inf"), 0.0])
     @pytest.mark.parametrize("delivery", ["alphabeta", "contention"])
     def test_protocol_delivery_matrix(self, eager_threshold, delivery):
-        lazy, eager = _run_ab(
-            _mixed_program,
-            eager_threshold_bytes=eager_threshold,
-            delivery=delivery,
-        )
-        _assert_identical(lazy, eager)
+        eager = "inf" if eager_threshold == float("inf") else "0"
+        check(f"mixed/{eager}/{delivery}/trace0/none")
 
     def test_traced_runs_match_span_for_span(self):
-        lazy, eager = _run_ab(_mixed_program, trace=True)
-        _assert_identical(lazy, eager)
-        assert lazy.tracer.spans_by_rank() == eager.tracer.spans_by_rank()
+        check("mixed/inf/alphabeta/trace1/none")
 
     @pytest.mark.parametrize("delivery", ["alphabeta", "contention"])
     def test_fault_injection_matches(self, delivery):
-        lazy, eager = _run_ab(
-            _compute_only, fail_at={3: 1.0, 5: 0.5}, delivery=delivery
-        )
-        _assert_identical(lazy, eager)
-        assert lazy.failed_ranks == [5, 3] or lazy.failed_ranks == [3, 5]
+        observed = check(f"toy/two_deaths/{delivery}")
+        assert sorted(observed["failed_ranks"]) == [3, 5]
 
     def test_traced_faulty_rendezvous_matches(self):
         # The full stack at once: rendezvous protocol, tracing, and a
         # mid-run death that the survivors never depend on.
-        lazy, eager = _run_ab(
-            _compute_only,
-            trace=True,
-            fail_at={1: 0.25},
-            eager_threshold_bytes=0.0,
-        )
-        _assert_identical(lazy, eager)
+        observed = check("toy/traced_rendezvous_death")
+        assert observed["failed_ranks"] == [1]
 
     def test_deadlock_reporting_matches(self):
-        def needs_dead_peer(comm):
-            if comm.rank == 0:
-                yield from comm.compute(seconds=5.0)
-                return None
-            msg = yield from comm.recv(source=0)
-            return msg.payload
-
-        machine = toy_machine(2)
-        errors = []
-        for lazy in (True, False):
-            with pytest.raises(DeadlockError) as excinfo:
-                Engine(machine, 2, fail_at={0: 1.0}, lazy=lazy).run(needs_dead_peer)
-            errors.append(str(excinfo.value))
-        assert errors[0] == errors[1]
+        observed = check("toy/needs_dead_peer")
+        assert set(observed) == {"deadlock"}
 
     def test_lazy_event_run_reports_full_materialization(self):
-        res = run_program(toy_machine(4), 4, _mixed_program)
+        res = run_program(toy_machine(4), 4, _compute_only)
         # Event-path ranks all resume, so all materialize -- the
         # counter is an observability surface, not a cap.
         assert res.ranks_materialized == 4
@@ -252,13 +183,12 @@ class TestFaultBeforeMaterialization:
         assert "injected failures" in detail and "ranks [2]" in detail
 
     def test_public_fail_at_zero_matches_eager(self):
-        # t=0 death through the public API: identical reporting lazy
-        # vs eager, including the frozen clock on the columns.
-        lazy, eager = _run_ab(_compute_only, n=4, fail_at={2: 0.0})
-        _assert_identical(lazy, eager)
-        assert lazy.failed_ranks == [2]
-        assert lazy.stats[2].finish_time == 0.0
-        assert lazy.returns[2] is None
+        # t=0 death through the public API, including the frozen clock
+        # on the columns of a rank that never materialized.
+        res = Engine(toy_machine(4), 4, fail_at={2: 0.0}).run(_compute_only)
+        assert res.failed_ranks == [2]
+        assert res.stats[2].finish_time == 0.0
+        assert res.returns[2] is None
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +286,6 @@ class TestClosedFormGhostReplay:
         with pytest.raises(ConfigurationError, match="macro"):
             Engine(
                 machine, 4, certificate=cert, closed_form=True, macro_ops=False
-            )
-        with pytest.raises(ConfigurationError, match="columnar"):
-            Engine(
-                machine, 4, certificate=cert, closed_form=True, columnar=False
             )
         # A non-alpha-beta delivery model surfaces at run time (the
         # macro layer is what closed-form replays through).

@@ -1,9 +1,11 @@
 """Generated-input differential test: macro path == event path.
 
 Hypothesis draws a partition of up to 24 ranks into sub-groups, an
-eager threshold, and a sequence of sub-group collectives (tree and
-tree_nb bcast, binomial reduce, recursive-doubling allreduce,
-dissemination barrier) with scalar or array payloads.  A step may be
+eager threshold, and a sequence of sub-group collectives -- every
+closed-form evaluator in ``macro.SUPPORTED``: tree, tree_nb, ring and
+flat bcast, binomial reduce, recursive-doubling allreduce, dissemination
+barrier, ring allgather and cyclic alltoall -- with scalar or array
+payloads (alltoall sends one per group member).  A step may be
 preceded by point-to-point traffic between two members of its group,
 whose arrival can outlast the collective's own message on the same
 pair and so fire the FIFO clamp inside the closed form.  Every draw
@@ -29,7 +31,8 @@ from repro.util.errors import DeadlockError
 
 from .test_macro_equivalence import _assert_identical
 
-KINDS = ("tree", "tree_nb", "reduce", "allreduce", "barrier")
+BCASTS = ("tree", "tree_nb", "ring", "flat")
+KINDS = (*BCASTS, "reduce", "allreduce", "barrier", "allgather", "alltoall")
 THRESHOLDS = (float("inf"), 0.0, 256.0)
 
 
@@ -73,6 +76,8 @@ def _payload(length, rank, i):
 def _comparable(value):
     if isinstance(value, np.ndarray):
         return ("ndarray", value.dtype.str, value.tolist())
+    if isinstance(value, list):
+        return [_comparable(v) for v in value]
     return value
 
 
@@ -100,7 +105,7 @@ def _program(comm, groups, steps):
                     # what an earlier collective left in the table.
                     out.append((msg.payload, msg.arrival_time))
         value = _payload(length, comm.rank, i)
-        if kind in ("tree", "tree_nb"):
+        if kind in BCASTS:
             got = yield from sub.bcast(value, root=root, algorithm=kind)
         elif kind == "reduce":
             got = yield from sub.reduce(value, op="sum", root=root)
@@ -108,6 +113,11 @@ def _program(comm, groups, steps):
             got = yield from sub.allreduce(
                 value, op="sum", algorithm="recursive_doubling"
             )
+        elif kind == "allgather":
+            got = yield from sub.allgather(value, algorithm="ring")
+        elif kind == "alltoall":
+            values = [_payload(length, comm.rank, i + j) for j in range(size)]
+            got = yield from sub.alltoall(values, algorithm="cyclic")
         else:
             got = yield from sub.barrier()
         out.append(_comparable(got))
