@@ -135,8 +135,7 @@ def _check_ops(
                 "hold queued or parked traffic at a collective gather"
             )
         if isinstance(op, CollOp):
-            allowed = MACRO_ELIGIBLE.get(op.kind, frozenset())
-            if allowed is not None and op.algorithm not in allowed:
+            if (op.kind, op.algorithm) not in MACRO_ELIGIBLE:
                 raise CertificationError(
                     f"line {op.line}: {op.kind}"
                     f"(algorithm={op.algorithm!r}) has no closed-form "

@@ -55,24 +55,17 @@ from repro.analyze.schedule import (
 )
 from repro.analyze.visitor import COLLECTIVES, iter_program_defs
 from repro.linalg.decomp import block_range, block_ranges
+from repro.simmpi.macro import SUPPORTED
 from repro.simmpi.stencil import StencilSpec, grid_halo, strip_halo
 from repro.util.errors import AnalysisError
 
 #: Concrete-count loops up to this bound are unrolled in place.
 UNROLL_MAX = 64
 
-#: Collective kinds whose (kind, algorithm) pair evaluates in closed
-#: form under engine macro-ops (``None`` = any algorithm the comm API
-#: accepts; see repro.simmpi.macro.SUPPORTED and the reduce_bcast
-#: composition in collectives.allreduce).
-MACRO_ELIGIBLE: Dict[str, Optional[frozenset]] = {
-    "barrier": None,
-    "bcast": frozenset({"tree", "tree_nb", "ring", "flat"}),
-    "reduce": None,
-    "allreduce": frozenset({"recursive_doubling", "reduce_bcast"}),
-    "allgather": frozenset({"ring"}),
-    "alltoall": frozenset({"cyclic"}),
-}
+#: (kind, algorithm) pairs that evaluate in closed form under engine
+#: macro-ops: the macro table's, plus allreduce's reduce_bcast, which
+#: composes two of them.
+MACRO_ELIGIBLE = SUPPORTED | {("allreduce", "reduce_bcast")}
 
 
 # ---------------------------------------------------------------------------
@@ -1508,7 +1501,7 @@ _COLLECTIVE_DEFAULT_ALGO: Dict[str, str] = {
     "allgather": "ring",
     "scatter": "tree",
     "alltoall": "cyclic",
-    "scan": "linear",
+    "scan": "hillis_steele",
     "reduce_scatter": "pairwise",
 }
 

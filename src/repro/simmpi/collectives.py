@@ -4,7 +4,10 @@ Nothing here is costed analytically: the collectives are real message
 algorithms (binomial trees, recursive doubling, dissemination, rings)
 whose virtual-time cost *emerges* from the engine's alpha-beta link
 model.  This is what makes the tree-vs-ring and mesh-vs-hypercube
-ablation benchmarks meaningful.
+ablation benchmarks meaningful.  Under engine macro-ops a call whose
+``(kind, algorithm)`` pair is in :data:`repro.simmpi.macro.TABLE`
+parks on one engine-level event instead, and its message algorithm
+runs only if the closed form falls back (see :func:`_dispatch`).
 
 Every invocation draws a fresh tag block from the communicator so two
 consecutive collectives can never cross-match, even when fast ranks
@@ -13,10 +16,12 @@ race ahead (the generalised sense-reversal trick).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional, Sequence, Union
+from functools import partial
+from typing import Any, Callable, Dict, Generator, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.simmpi.macro import closed_form
 from repro.simmpi.requests import MACRO_FALLBACK, CollectiveReq
 from repro.util.errors import CommunicationError
 
@@ -28,18 +33,21 @@ def _block_tag(comm, round_: int = 0) -> int:
     return comm.next_tag_block() - round_
 
 
+_OPS: Dict[str, Callable[[Any, Any], Any]] = {
+    "sum": lambda a, b: a + b,
+    "prod": lambda a, b: a * b,
+    "max": np.maximum,
+    "min": np.minimum,
+}
+
+
 def resolve_op(op: Union[str, Callable]) -> Callable[[Any, Any], Any]:
     """Map an op name to a commutative combiner working on scalars and
     NumPy arrays alike."""
     if callable(op):
         return op
     try:
-        return {
-            "sum": lambda a, b: a + b,
-            "prod": lambda a, b: a * b,
-            "max": np.maximum,
-            "min": np.minimum,
-        }[op]
+        return _OPS[op]
     except KeyError:
         raise CommunicationError(
             f"unknown reduce op {op!r}; expected sum/prod/max/min or a callable"
@@ -70,28 +78,55 @@ def _phased(comm, label: str, gen: Generator) -> Generator:
 
 
 # ---------------------------------------------------------------------------
-# macro-op dispatch
+# dispatch
 # ---------------------------------------------------------------------------
+
+def _algorithm(table: Dict[str, Callable], kind: str, algorithm: str) -> Callable:
+    """``table[algorithm]``, validated at the dispatch call for every
+    communicator size."""
+    try:
+        return table[algorithm]
+    except KeyError:
+        raise CommunicationError(f"unknown {kind} algorithm {algorithm!r}") from None
+
+
+def _dispatch(
+    comm, kind: str, algorithm: Any, root: int, op, value: Any,
+    impl: Callable[..., Generator], args: tuple, phased: bool = True,
+) -> Generator:
+    """The generator that runs one collective call.
+
+    ``impl(*args)`` is the call's message algorithm.  Under engine
+    macro-ops, a call whose ``(kind, algorithm)`` has a closed form
+    parks on a :class:`CollectiveReq` and carries it as the fallback
+    (built only if the closed form falls back).  Otherwise it runs
+    directly, under the phase label ``kind`` when tracing;
+    ``phased=False`` leaves the caller's label in place (apps name
+    their own halo phases).
+    """
+    if comm._macro and comm.size > 1 and closed_form(kind, algorithm) is not None:
+        return _macro_collective(comm, kind, algorithm, root, op, value, impl, args)
+    gen = impl(*args)
+    if phased and comm._tracing:
+        return _phased(comm, kind, gen)
+    return gen
+
 
 def _macro_collective(
     comm, kind: str, algorithm: Any, root: int, op, value: Any,
-    resolve: bool = False,
+    impl: Callable[..., Generator], args: tuple,
 ) -> Generator:
     """Park this rank on a :class:`CollectiveReq` macro event.
 
     The engine gathers all members, then either resumes each with its
     analytically computed result or with :data:`MACRO_FALLBACK`, in
-    which case the real message algorithm runs inline from the same
-    entry clock (all members fall back together, per invocation).
-    Exactly one collective-sequence draw happens here either way, so
-    fast and fallback invocations stay aligned across ranks -- the
-    fallback's own tag-block draw is then the same fresh block on every
-    member.
+    which case ``impl(*args)`` -- the real message algorithm -- runs
+    inline from the same entry clock (all members fall back together, per
+    invocation).  Exactly one collective-sequence draw happens here
+    either way, so fast and fallback invocations stay aligned across
+    ranks -- the fallback's own tag-block draw is then the same fresh
+    block on every member.
     """
-    if resolve:
-        # Matches the event path, which resolves the op at the
-        # generator's first resume rather than at the dispatch call.
-        op = resolve_op(op)
     comm._coll_seq += 1
     members = getattr(comm, "members", None)
     result = yield CollectiveReq(
@@ -107,7 +142,7 @@ def _macro_collective(
         # aligned across ranks and with the pure event path (visible
         # in, e.g., the tags a DeadlockError reports).
         comm._coll_seq -= 1
-        return (yield from _MACRO_FALLBACK_IMPLS[kind](comm, value, root, op, algorithm))
+        return (yield from impl(*args))
     return result
 
 
@@ -117,12 +152,10 @@ def _macro_collective(
 
 def barrier(comm) -> Generator:
     """Dissemination barrier: ceil(log2 p) rounds of shifted tokens."""
-    if comm._macro and comm.size > 1:
-        return _macro_collective(comm, "barrier", "dissemination", 0, None, None)
-    gen = _barrier_dissemination(comm)
-    if comm._tracing:
-        return _phased(comm, "barrier", gen)
-    return gen
+    return _dispatch(
+        comm, "barrier", "dissemination", 0, None, None,
+        _barrier_dissemination, (comm,),
+    )
 
 
 def _barrier_dissemination(comm) -> Generator:
@@ -148,16 +181,8 @@ def bcast(comm, value: Any, root: int = 0, algorithm: str = "tree") -> Generator
     """Broadcast from ``root``; all ranks return the value."""
     if not 0 <= root < comm.size:
         raise CommunicationError(f"bcast root {root} out of range")
-    try:
-        impl = _BCAST_ALGORITHMS[algorithm]
-    except KeyError:
-        raise CommunicationError(f"unknown bcast algorithm {algorithm!r}") from None
-    if comm._macro and comm.size > 1 and algorithm in _MACRO_BCAST:
-        return _macro_collective(comm, "bcast", algorithm, root, None, value)
-    gen = impl(comm, value, root)
-    if comm._tracing:
-        return _phased(comm, "bcast", gen)
-    return gen
+    impl = _algorithm(_BCAST_ALGORITHMS, "bcast", algorithm)
+    return _dispatch(comm, "bcast", algorithm, root, None, value, impl, (comm, value, root))
 
 
 def _bcast_binomial(comm, value: Any, root: int) -> Generator:
@@ -255,12 +280,6 @@ _BCAST_ALGORITHMS = {
     "flat": _bcast_flat,
 }
 
-#: Bcast algorithms the macro evaluator reproduces exactly.  tree_nb
-#: qualifies only in the all-eager regime (its evaluator bails to the
-#: event path on any rendezvous-sized payload, where isend overlap is
-#: real and not modelled analytically).
-_MACRO_BCAST = frozenset({"tree", "tree_nb", "ring", "flat"})
-
 
 # ---------------------------------------------------------------------------
 # reduce / allreduce
@@ -275,12 +294,10 @@ def reduce(comm, value: Any, op: Union[str, Callable] = "sum", root: int = 0) ->
     if not 0 <= root < comm.size:
         raise CommunicationError(f"reduce root {root} out of range")
     combiner = resolve_op(op)
-    if comm._macro and comm.size > 1:
-        return _macro_collective(comm, "reduce", "binomial", root, combiner, value)
-    gen = _reduce_binomial(comm, value, combiner, root)
-    if comm._tracing:
-        return _phased(comm, "reduce", gen)
-    return gen
+    return _dispatch(
+        comm, "reduce", "binomial", root, combiner, value,
+        _reduce_binomial, (comm, value, combiner, root),
+    )
 
 
 def _reduce_binomial(comm, value: Any, combiner: Callable, root: int) -> Generator:
@@ -310,36 +327,26 @@ def allreduce(
     algorithm: str = "reduce_bcast",
 ) -> Generator:
     """All ranks obtain the reduction of everyone's value."""
-    if algorithm == "reduce_bcast":
-        # Composes reduce + bcast; each inner call macro-dispatches on
-        # its own, so no direct hook is needed here.
-        gen = _allreduce_reduce_bcast(comm, value, op)
-    elif algorithm == "recursive_doubling":
-        if comm._macro and comm.size > 1:
-            return _macro_collective(
-                comm, "allreduce", "recursive_doubling", 0, op, value, resolve=True
-            )
-        gen = _allreduce_recursive_doubling(comm, value, op)
-    else:
-        raise CommunicationError(f"unknown allreduce algorithm {algorithm!r}")
-    if comm._tracing:
-        return _phased(comm, "allreduce", gen)
-    return gen
+    impl = _algorithm(_ALLREDUCE_ALGORITHMS, "allreduce", algorithm)
+    combiner = resolve_op(op)
+    return _dispatch(
+        comm, "allreduce", algorithm, 0, combiner, value, impl, (comm, value, combiner)
+    )
 
 
-def _allreduce_reduce_bcast(comm, value: Any, op) -> Generator:
-    partial = yield from reduce(comm, value, op, root=0)
-    return (yield from bcast(comm, partial, root=0))
+def _allreduce_reduce_bcast(comm, value: Any, combiner: Callable) -> Generator:
+    # Composes reduce + bcast; each inner call dispatches on its own.
+    reduced = yield from reduce(comm, value, combiner, root=0)
+    return (yield from bcast(comm, reduced, root=0))
 
 
-def _allreduce_recursive_doubling(comm, value: Any, op) -> Generator:
+def _allreduce_recursive_doubling(comm, value: Any, combiner: Callable) -> Generator:
     """Butterfly exchange; log2 p rounds when p is a power of two.
 
     For non-power-of-two sizes the extra ranks fold into the lower
     power-of-two block first, then receive the result (the standard
     MPICH construction).
     """
-    combiner = resolve_op(op)
     p = comm.size
     if p == 1:
         return value
@@ -377,6 +384,12 @@ def _allreduce_recursive_doubling(comm, value: Any, op) -> Generator:
     return acc
 
 
+_ALLREDUCE_ALGORITHMS = {
+    "reduce_bcast": _allreduce_reduce_bcast,
+    "recursive_doubling": _allreduce_recursive_doubling,
+}
+
+
 # ---------------------------------------------------------------------------
 # gather / allgather / scatter / alltoall
 # ---------------------------------------------------------------------------
@@ -385,15 +398,8 @@ def gather(comm, value: Any, root: int = 0, algorithm: str = "tree") -> Generato
     """Collect one value per rank onto ``root`` (rank-ordered list)."""
     if not 0 <= root < comm.size:
         raise CommunicationError(f"gather root {root} out of range")
-    if algorithm == "tree":
-        gen = _gather_binomial(comm, value, root)
-    elif algorithm == "flat":
-        gen = _gather_flat(comm, value, root)
-    else:
-        raise CommunicationError(f"unknown gather algorithm {algorithm!r}")
-    if comm._tracing:
-        return _phased(comm, "gather", gen)
-    return gen
+    impl = _algorithm(_GATHER_ALGORITHMS, "gather", algorithm)
+    return _dispatch(comm, "gather", algorithm, root, None, value, impl, (comm, value, root))
 
 
 def _gather_binomial(comm, value: Any, root: int) -> Generator:
@@ -432,55 +438,54 @@ def _gather_flat(comm, value: Any, root: int) -> Generator:
     return out
 
 
+_GATHER_ALGORITHMS = {"tree": _gather_binomial, "flat": _gather_flat}
+
+
 def allgather(comm, value: Any, algorithm: str = "ring") -> Generator:
     """Every rank ends with the rank-ordered list of all values."""
-    if comm._macro and comm.size > 1 and algorithm == "ring":
-        return _macro_collective(comm, "allgather", "ring", 0, None, value)
-    gen = _allgather_impl(comm, value, algorithm)
-    if comm._tracing:
-        return _phased(comm, "allgather", gen)
-    return gen
+    impl = _algorithm(_ALLGATHER_ALGORITHMS, "allgather", algorithm)
+    return _dispatch(comm, "allgather", algorithm, 0, None, value, impl, (comm, value))
 
 
-def _allgather_impl(comm, value: Any, algorithm: str) -> Generator:
+def _allgather_ring(comm, value: Any, nonblocking: bool = False) -> Generator:
+    """p - 1 steps forwarding ``(carry_rank, value)`` to the right.
+    ``nonblocking`` (``ring_nb``) posts each step's receive before
+    sending, so the step never deadlocks under rendezvous (the blocking
+    ring does: every rank sends first and nobody has posted a receive)."""
     p = comm.size
     if p == 1:
         return [value]
-    if algorithm == "ring":
-        tag0 = _block_tag(comm)
-        out: list = [None] * p
-        out[comm.rank] = value
-        right = (comm.rank + 1) % p
-        left = (comm.rank - 1) % p
-        carry_rank = comm.rank
-        for step in range(p - 1):
-            yield from comm.send((carry_rank, out[carry_rank]), right, tag=tag0 - step)
-            msg = yield from comm.recv(source=left, tag=tag0 - step)
-            carry_rank, payload = msg.payload
-            out[carry_rank] = payload
-        return out
-    if algorithm == "ring_nb":
-        # Same ring, but each step posts its receive before sending, so
-        # the step never deadlocks under rendezvous (the blocking ring
-        # does: every rank sends first and nobody has posted a receive).
-        tag0 = _block_tag(comm)
-        out = [None] * p
-        out[comm.rank] = value
-        right = (comm.rank + 1) % p
-        left = (comm.rank - 1) % p
-        carry_rank = comm.rank
-        for step in range(p - 1):
+    tag0 = _block_tag(comm)
+    out: list = [None] * p
+    out[comm.rank] = value
+    right = (comm.rank + 1) % p
+    left = (comm.rank - 1) % p
+    carry_rank = comm.rank
+    for step in range(p - 1):
+        carry = (carry_rank, out[carry_rank])
+        if nonblocking:
             rh = yield from comm.irecv(source=left, tag=tag0 - step)
-            sh = yield from comm.isend((carry_rank, out[carry_rank]), right, tag=tag0 - step)
+            sh = yield from comm.isend(carry, right, tag=tag0 - step)
             msg = yield from comm.wait(rh)
             yield from comm.wait(sh)
-            carry_rank, payload = msg.payload
-            out[carry_rank] = payload
-        return out
-    if algorithm == "gather_bcast":
-        collected = yield from gather(comm, value, root=0)
-        return (yield from bcast(comm, collected, root=0))
-    raise CommunicationError(f"unknown allgather algorithm {algorithm!r}")
+        else:
+            yield from comm.send(carry, right, tag=tag0 - step)
+            msg = yield from comm.recv(source=left, tag=tag0 - step)
+        carry_rank, payload = msg.payload
+        out[carry_rank] = payload
+    return out
+
+
+def _allgather_gather_bcast(comm, value: Any) -> Generator:
+    collected = yield from gather(comm, value, root=0)
+    return (yield from bcast(comm, collected, root=0))
+
+
+_ALLGATHER_ALGORITHMS = {
+    "ring": _allgather_ring,
+    "ring_nb": partial(_allgather_ring, nonblocking=True),
+    "gather_bcast": _allgather_gather_bcast,
+}
 
 
 def scatter(
@@ -496,15 +501,8 @@ def scatter(
                 f"scatter root needs exactly {p} values, got "
                 f"{None if values is None else len(values)}"
             )
-    if algorithm == "tree":
-        gen = _scatter_binomial(comm, values, root)
-    elif algorithm == "flat":
-        gen = _scatter_flat(comm, values, root)
-    else:
-        raise CommunicationError(f"unknown scatter algorithm {algorithm!r}")
-    if comm._tracing:
-        return _phased(comm, "scatter", gen)
-    return gen
+    impl = _algorithm(_SCATTER_ALGORITHMS, "scatter", algorithm)
+    return _dispatch(comm, "scatter", algorithm, root, None, values, impl, (comm, values, root))
 
 
 def _scatter_binomial(comm, values, root: int) -> Generator:
@@ -542,6 +540,9 @@ def _scatter_flat(comm, values, root: int) -> Generator:
     return msg.payload
 
 
+_SCATTER_ALGORITHMS = {"tree": _scatter_binomial, "flat": _scatter_flat}
+
+
 def scan(comm, value: Any, op: Union[str, Callable] = "sum") -> Generator:
     """Inclusive prefix reduction (Hillis-Steele, ceil(log2 p) rounds).
 
@@ -550,28 +551,29 @@ def scan(comm, value: Any, op: Union[str, Callable] = "sum") -> Generator:
     because partials are always combined as ``earlier op later``.
     """
     combiner = resolve_op(op)
+    return _dispatch(
+        comm, "scan", "hillis_steele", 0, combiner, value,
+        _scan_hillis_steele, (comm, value, combiner),
+    )
+
+
+def _scan_hillis_steele(comm, value: Any, combiner: Callable) -> Generator:
     p = comm.size
     if p == 1:
         return value
     tag0 = _block_tag(comm)
-    if comm._tracing:
-        comm._phases.append("scan")
-    try:
-        acc = value
-        dist = 1
-        k = 0
-        while dist < p:
-            if comm.rank + dist < p:
-                yield from comm.send(acc, comm.rank + dist, tag=tag0 - k)
-            if comm.rank - dist >= 0:
-                msg = yield from comm.recv(source=comm.rank - dist, tag=tag0 - k)
-                acc = combiner(msg.payload, acc)
-            dist <<= 1
-            k += 1
-        return acc
-    finally:
-        if comm._tracing:
-            comm._phases.pop()
+    acc = value
+    dist = 1
+    k = 0
+    while dist < p:
+        if comm.rank + dist < p:
+            yield from comm.send(acc, comm.rank + dist, tag=tag0 - k)
+        if comm.rank - dist >= 0:
+            msg = yield from comm.recv(source=comm.rank - dist, tag=tag0 - k)
+            acc = combiner(msg.payload, acc)
+        dist <<= 1
+        k += 1
+    return acc
 
 
 def reduce_scatter(
@@ -591,13 +593,14 @@ def reduce_scatter(
             f"reduce_scatter needs exactly {p} values per rank, got "
             f"{None if values is None else len(values)}"
         )
-    if comm._tracing:
-        comm._phases.append("reduce_scatter")
-    try:
-        contributions = yield from alltoall(comm, list(values))
-    finally:
-        if comm._tracing:
-            comm._phases.pop()
+    return _dispatch(
+        comm, "reduce_scatter", "pairwise", 0, combiner, values,
+        _reduce_scatter_alltoall, (comm, values, combiner),
+    )
+
+
+def _reduce_scatter_alltoall(comm, values, combiner: Callable) -> Generator:
+    contributions = yield from alltoall(comm, list(values))
     acc = contributions[0]
     for item in contributions[1:]:
         acc = combiner(acc, item)
@@ -618,27 +621,18 @@ def alltoall(comm, values: Sequence[Any], algorithm: str = "cyclic") -> Generato
             f"alltoall needs exactly {p} values per rank, got "
             f"{None if values is None else len(values)}"
         )
+    impl = _algorithm(_ALLTOALL_ALGORITHMS, "alltoall", algorithm)
+    return _dispatch(comm, "alltoall", algorithm, 0, None, list(values), impl, (comm, values))
+
+
+def _alltoall(comm, values, nonblocking: bool = False) -> Generator:
+    p = comm.size
     out: list = [None] * p
     out[comm.rank] = values[comm.rank]
     if p == 1:
         return out
-    if comm._macro and algorithm == "cyclic":
-        return (yield from _macro_collective(
-            comm, "alltoall", "cyclic", 0, None, list(values)
-        ))
     tag0 = _block_tag(comm)
-    if comm._tracing:
-        comm._phases.append("alltoall")
-    try:
-        return (yield from _alltoall_impl(comm, values, algorithm, tag0, out))
-    finally:
-        if comm._tracing:
-            comm._phases.pop()
-
-
-def _alltoall_impl(comm, values, algorithm: str, tag0: int, out: list) -> Generator:
-    p = comm.size
-    if algorithm == "cyclic":
+    if not nonblocking:
         for shift in range(1, p):
             dst = (comm.rank + shift) % p
             src = (comm.rank - shift) % p
@@ -646,40 +640,24 @@ def _alltoall_impl(comm, values, algorithm: str, tag0: int, out: list) -> Genera
             msg = yield from comm.recv(source=src, tag=tag0 - (shift % _TAG_STRIDE))
             out[src] = msg.payload
         return out
-    if algorithm == "nonblocking":
-        recv_handles = []
-        for shift in range(1, p):
-            src = (comm.rank - shift) % p
-            h = yield from comm.irecv(source=src, tag=tag0 - (shift % _TAG_STRIDE))
-            recv_handles.append((src, h))
-        send_handles = []
-        for shift in range(1, p):
-            dst = (comm.rank + shift) % p
-            h = yield from comm.isend(values[dst], dst, tag=tag0 - (shift % _TAG_STRIDE))
-            send_handles.append(h)
-        for src, h in recv_handles:
-            msg = yield from comm.wait(h)
-            out[src] = msg.payload
-        yield from comm.waitall(send_handles)
-        return out
-    raise CommunicationError(f"unknown alltoall algorithm {algorithm!r}")
+    recv_handles = []
+    for shift in range(1, p):
+        src = (comm.rank - shift) % p
+        h = yield from comm.irecv(source=src, tag=tag0 - (shift % _TAG_STRIDE))
+        recv_handles.append((src, h))
+    send_handles = []
+    for shift in range(1, p):
+        dst = (comm.rank + shift) % p
+        h = yield from comm.isend(values[dst], dst, tag=tag0 - (shift % _TAG_STRIDE))
+        send_handles.append(h)
+    for src, h in recv_handles:
+        msg = yield from comm.wait(h)
+        out[src] = msg.payload
+    yield from comm.waitall(send_handles)
+    return out
 
 
-def _alltoall_macro_fallback(comm, values) -> Generator:
-    out: list = [None] * comm.size
-    out[comm.rank] = values[comm.rank]
-    tag0 = _block_tag(comm)
-    return (yield from _alltoall_impl(comm, values, "cyclic", tag0, out))
-
-
-#: kind -> real algorithm generator, invoked when the engine answers a
-#: CollectiveReq with MACRO_FALLBACK.  ``op`` is already resolved by the
-#: dispatch layer (resolve_op is idempotent on callables).
-_MACRO_FALLBACK_IMPLS = {
-    "barrier": lambda comm, value, root, op, alg: _barrier_dissemination(comm),
-    "bcast": lambda comm, value, root, op, alg: _BCAST_ALGORITHMS[alg](comm, value, root),
-    "reduce": lambda comm, value, root, op, alg: _reduce_binomial(comm, value, op, root),
-    "allreduce": lambda comm, value, root, op, alg: _allreduce_recursive_doubling(comm, value, op),
-    "allgather": lambda comm, value, root, op, alg: _allgather_impl(comm, value, "ring"),
-    "alltoall": lambda comm, value, root, op, alg: _alltoall_macro_fallback(comm, value),
+_ALLTOALL_ALGORITHMS = {
+    "cyclic": _alltoall,
+    "nonblocking": partial(_alltoall, nonblocking=True),
 }

@@ -70,7 +70,6 @@ from repro.machine.machine import Machine
 from repro.simmpi.comm import CommTable
 from repro.simmpi.delivery import AlphaBetaDelivery, DeliveryModel, resolve_delivery
 from repro.simmpi.protocol import EagerProtocol, Protocol, RendezvousProtocol
-from repro.simmpi.macro import SUPPORTED as _MACRO_SUPPORTED
 from repro.simmpi.macro import evaluate as _macro_evaluate
 from repro.simmpi.macro import plan as _macro_plan
 from repro.simmpi.requests import (
@@ -800,10 +799,8 @@ class _Run:
         plan = _macro_plan(self, key[0], key[2], key[3], key[4])
         members = plan.members
         ranks = self.ranks
-        # Stencil exchange phases carry their declared spec in the
-        # algorithm slot; collectives are checked against the evaluator
-        # registry.
-        sound = key[2] == "exchange" or (key[2], key[3]) in _MACRO_SUPPORTED
+        # The plan carries the pair's entry in the closed-form table.
+        sound = plan.form is not None
         if sound and not self._cert_pure:
             # A macro-eligibility certificate proves statically that no
             # member can hold queued or parked traffic here; without

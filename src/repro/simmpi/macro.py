@@ -39,56 +39,59 @@ delivery model's ``_fixed`` / overhead memos and the run's
 topology, rank map, link and size, so a bail leaves nothing
 observable.
 
+Supported schedules
+-------------------
+
+:data:`TABLE` is the one list of what runs in closed form: per
+``(kind, algorithm)``, the send rounds as a function of ``(p, root)``
+(of the :class:`~repro.simmpi.stencil.StencilSpec` for ``exchange``)
+and the evaluator that prices an invocation from them.
+:data:`SUPPORTED`, :func:`evaluate`, the dispatch layer's "park on a
+``CollectiveReq``?" test (:func:`closed_form`), the engine's soundness
+check (``plan.form``) and the analyzer's ``MACRO_ELIGIBLE`` all derive
+from it, so adding a closed-form collective is one table entry.
+
+Round-phased evaluators price the plan's rounds with
+:meth:`_Sched.send_round` / :meth:`_Sched.recv_round`; ring and flat
+bcast are chains (each hop waits on the one before it) and go message
+by message through :meth:`_Sched.send` / :meth:`_Sched.recv`.  Cyclic
+patterns (dissemination, butterfly, shifts, exchanges) are evaluated
+only when every message is eager; a rendezvous message there means the
+event path's behaviour (including its deadlock) must be reproduced for
+real, so we bail.
+
 Plans and clock arithmetic
 --------------------------
 
 An invocation splits into a static :class:`_Plan` and the clock
 arithmetic.  The plan depends only on ``(members, kind, algorithm,
-root)``: the member index and node columns, and per send round the
-group-index src/dst columns, the interned FIFO keys and the
-hop-derived fixed wire cost.  :func:`plan` builds it once per run and
-keeps it in ``run._plans``, so a repeated invocation (lu2d's panel
-broadcasts repeat 94 % of the time) evaluates only the expressions
-that read clocks.  The table is bounded by :data:`PLAN_CAP_PAIRS` and
-is cleared when an insertion would exceed it.
+root)`` (an exchange's spec sits in the algorithm slot): the member
+index and node columns, the table entry, and per send round of the
+entry's shape the group-index src/dst columns, the interned FIFO keys
+and the hop-derived fixed wire cost.  :func:`plan` builds it once per
+run and keeps it in ``run._plans``, so a repeated invocation (lu2d's
+panel broadcasts repeat 94 % of the time, a halo epoch's exchanges
+every step) evaluates only the expressions that read clocks.  The
+table is bounded by :data:`PLAN_CAP_PAIRS` and is cleared when an
+insertion would exceed it.
 
 The FIFO clamp's "can any recorded arrival exceed this round's?" test
 reads ``run._last_hi``, a monotone upper bound on every value in
 ``run._last_arrival`` that the engine raises at each write, instead of
 scanning the table.
-
-Supported schedules (anything else falls back): dissemination barrier,
-binomial-tree / ring / flat bcast, binomial reduce, recursive-doubling
-allreduce, ring allgather, cyclic alltoall.  Cyclic patterns
-(butterfly, rings, alltoall) are evaluated only when every message is
-eager; a rendezvous message there means the event path's behaviour
-(including its deadlock) must be reproduced for real, so we bail.
-Declared neighbor-exchange stencil phases price through the same
-:class:`_Sched` machinery via :mod:`repro.simmpi.stencil`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.simmpi.requests import CollectiveReq, copy_payload, payload_nbytes
-
-#: (kind, algorithm) pairs the evaluator can reproduce exactly.
-SUPPORTED = frozenset({
-    ("barrier", "dissemination"),
-    ("bcast", "tree"),
-    ("bcast", "tree_nb"),
-    ("bcast", "ring"),
-    ("bcast", "flat"),
-    ("reduce", "binomial"),
-    ("allreduce", "recursive_doubling"),
-    ("allgather", "ring"),
-    ("alltoall", "cyclic"),
-})
-
 
 #: Bound on a run's plan table, in pair entries: one per member (index
 #: and node columns) plus one per planned message (src, dst, key and
@@ -103,22 +106,34 @@ class _Bail(Exception):
     cyclic pattern); the caller replays the event path instead."""
 
 
+class ClosedForm(NamedTuple):
+    """One :data:`TABLE` entry."""
+
+    #: ``(p, root, algorithm) -> (srcs, dsts)`` group-rank columns per
+    #: send round (``algorithm`` is the spec for ``exchange``).
+    rounds: Callable[..., Iterable[Tuple[np.ndarray, np.ndarray]]]
+    #: ``(sched, reqs, ghost) -> values by group rank``; raises ``_Bail``.
+    evaluate: Callable[..., List[Any]]
+
+
 class _Plan:
     """The clock-free part of a macro evaluation for one ``(members,
     kind, algorithm, root)``.
 
     ``idx`` maps group rank to global rank and ``nodes`` to machine
-    node.  Each entry of ``rounds`` is one send round ``(srcs, dsts,
-    keys, fixed)``: group-rank columns, the interned FIFO keys
+    node; ``form`` is the pair's :class:`ClosedForm` (``None``: no
+    closed form).  Each entry of ``rounds`` is one send round ``(srcs,
+    dsts, keys, fixed)``: group-rank columns, the interned FIFO keys
     ``src * n + dst`` (int64), and the fixed wire cost ``alpha + hops *
     tau`` per pair.  Everything here is a pure function of the run's
     topology, rank map, link and size, all fixed for the run.
     """
 
     __slots__ = ("members", "idx", "nodes", "topo", "latency", "per_hop",
-                 "n", "rounds", "size")
+                 "n", "form", "rounds", "size")
 
-    def __init__(self, run: Any, members: Sequence[int]):
+    def __init__(self, run: Any, members: Sequence[int],
+                 form: Optional[ClosedForm]):
         p = len(members)
         self.members = members
         self.idx = np.fromiter(members, np.intp, count=p)
@@ -129,12 +144,14 @@ class _Plan:
         self.latency = machine.link.latency_s
         self.per_hop = machine.link.per_hop_s
         self.n = run._n
+        self.form = form
         self.rounds: List[tuple] = []
         self.size = p  # pair entries held, for the table bound
 
     def round(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple:
         """The static columns of one send round from group ranks
-        ``srcs`` to ``dsts`` (distinct pairs, no self-sends)."""
+        ``srcs`` to ``dsts`` (distinct pairs; an evaluator bails before
+        pricing a self-send)."""
         hops = self.topo.hops_array(self.nodes[srcs], self.nodes[dsts])
         fixed = np.where(hops == 0, 0.0, self.latency + hops * self.per_hop)
         idx = self.idx
@@ -142,28 +159,26 @@ class _Plan:
         return srcs, dsts, keys, fixed
 
 
-def _dissemination(p: int, root: int):
-    """Barrier rounds: every rank sends to ``rank + 2**k`` (mod p)."""
+# -- round shapes -------------------------------------------------------------
+
+
+def _shift(p: int, dist: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One shift round: every rank sends to ``rank + dist`` (mod p)."""
     idx = np.arange(p, dtype=np.intp)
-    dist = 1
-    while dist < p:
-        dsts = idx + dist
-        dsts[dsts >= p] -= p
-        yield idx, dsts
-        dist <<= 1
+    dsts = idx + dist
+    dsts[dsts >= p] -= p
+    return idx, dsts
 
 
-def _virtual_ranks(p: int, root: int) -> np.ndarray:
-    """Virtual rank -> group rank for a tree rooted at ``root``."""
-    gr_of = np.arange(p, dtype=np.intp) + root
-    gr_of[gr_of >= p] -= p
-    return gr_of
+def _dissemination(p: int, root: int, algorithm: Any):
+    """Barrier rounds: shifts by 1, 2, 4, ... < p."""
+    return [_shift(p, 1 << k) for k in range((p - 1).bit_length())]
 
 
-def _tree_fanout(p: int, root: int):
+def _tree_fanout(p: int, root: int, algorithm: Any):
     """Binomial bcast rounds: in round k every virtual rank ``vr <
     2**k`` that has the payload sends to ``vr + 2**k``."""
-    gr_of = _virtual_ranks(p, root)
+    gr_of = _shift(p, root)[1]  # virtual rank -> group rank
     mask = 1
     while mask < p:
         parents = np.arange(min(mask, p - mask), dtype=np.intp)
@@ -171,11 +186,11 @@ def _tree_fanout(p: int, root: int):
         mask <<= 1
 
 
-def _tree_fanin(p: int, root: int):
+def _tree_fanin(p: int, root: int, algorithm: Any):
     """Binomial reduce rounds, by mask: virtual rank ``vr + mask``
     sends its accumulator to ``vr`` for every ``vr`` divisible by
     ``2 * mask``."""
-    gr_of = _virtual_ranks(p, root)
+    gr_of = _shift(p, root)[1]
     mask = 1
     while mask < p:
         step = mask << 1
@@ -184,28 +199,57 @@ def _tree_fanin(p: int, root: int):
         mask = step
 
 
-def _butterfly(p: int, root: int):
-    """Recursive-doubling exchange rounds over the largest power of two
-    <= p: rank r swaps with ``r ^ 2**k``."""
-    pof2 = 1
-    while pof2 * 2 <= p:
-        pof2 *= 2
+def _recursive_doubling(p: int, root: int, algorithm: Any):
+    """Recursive-doubling rounds.  Over the largest power of two <= p,
+    rank r swaps with ``r ^ 2**k``; when p is not a power of two, the
+    excess ranks' fold onto the low ranks comes first and the hand-back
+    of the result comes last."""
+    pof2 = 1 << (p.bit_length() - 1)  # the largest power of two <= p
+    low = np.arange(p - pof2, dtype=np.intp)
+    if low.size:
+        yield low + pof2, low  # fold
     idx = np.arange(pof2, dtype=np.intp)
     mask = 1
     while mask < pof2:
         yield idx, idx ^ mask
         mask <<= 1
+    if low.size:
+        yield low, low + pof2  # hand-back
 
 
-#: (kind, algorithm) -> its send rounds as (srcs, dsts) per round, as a
-#: function of (p, root).  The other evaluators send message by message.
-_ROUNDS = {
-    ("barrier", "dissemination"): _dissemination,
-    ("bcast", "tree"): _tree_fanout,
-    ("bcast", "tree_nb"): _tree_fanout,
-    ("reduce", "binomial"): _tree_fanin,
-    ("allreduce", "recursive_doubling"): _butterfly,
-}
+def _ring_shift(p: int, root: int, algorithm: Any):
+    """The ring allgather's one round, repeated p - 1 times."""
+    return [_shift(p, 1)]
+
+
+def _cyclic_shifts(p: int, root: int, algorithm: Any):
+    """Alltoall rounds: shifts by 1 .. p-1."""
+    return [_shift(p, k) for k in range(1, p)]
+
+
+def _chain(p: int, root: int, algorithm: Any):
+    """Ring and flat bcast are chains, not rounds."""
+    return ()
+
+
+def _stencil_rounds(p: int, root: int, spec: Any):
+    """Exchange rounds, one per offset of the spec in the algorithm
+    slot: every rank with a peer at offset ``j`` sends to it (an open
+    grid drops the ranks whose offset leaves it; a round may be empty)."""
+    idx = np.arange(p, dtype=np.intp)
+    for peer in spec.peer_columns():
+        has = peer >= 0
+        yield idx[has], peer[has].astype(np.intp)
+
+
+def closed_form(kind: str, algorithm: Any) -> Optional[ClosedForm]:
+    """The :data:`TABLE` entry for ``(kind, algorithm)``, or ``None``.
+
+    An exchange carries its declared
+    :class:`~repro.simmpi.stencil.StencilSpec` in the algorithm slot;
+    every spec shares the ``("exchange", "stencil")`` entry.
+    """
+    return TABLE.get((kind, "stencil" if kind == "exchange" else algorithm))
 
 
 def plan(
@@ -221,10 +265,10 @@ def plan(
     found = plans.get(key)
     if found is not None:
         return found
-    made = _Plan(run, run.world_members() if group is None else group)
-    shape = _ROUNDS.get((kind, algorithm))
-    if shape is not None:
-        for srcs, dsts in shape(len(made.members), root):
+    form = closed_form(kind, algorithm)
+    made = _Plan(run, run.world_members() if group is None else group, form)
+    if form is not None:
+        for srcs, dsts in form.rounds(len(made.members), root, algorithm):
             made.rounds.append(made.round(srcs, dsts))
             made.size += len(srcs)
     size = made.size
@@ -291,9 +335,9 @@ class _Sched:
         """One send issued at ``gs``'s current clock toward ``gd``.
 
         Valid only where ``gd``'s matching receive is posted at ``gd``'s
-        *current* local clock (true for every acyclic schedule below:
-        the receiver's recv is its next pending op).  Returns the
-        message's arrival time at the destination.
+        *current* local clock (true for the chains that use it: the
+        receiver's recv is its next pending op).  Returns the message's
+        arrival time at the destination.
         """
         clock = self.clock
         now = clock[gs]
@@ -338,14 +382,6 @@ class _Sched:
         self.sent_b[gs] += nbytes
         return arrival
 
-    def send_eager(self, gs: int, gd: int, nbytes: int) -> float:
-        """Like :meth:`send` but refuses rendezvous -- used inside cyclic
-        schedules where a synchronous send means the event path must run
-        (it may legitimately deadlock there)."""
-        if nbytes > self.eager_max:
-            raise _Bail
-        return self.send(gs, gd, nbytes)
-
     def recv(self, gd: int, arrival: float, nbytes: int) -> float:
         """Complete a blocking receive posted at ``gd``'s current clock."""
         clock = self.clock
@@ -362,14 +398,14 @@ class _Sched:
     def send_round(self, rnd: tuple, nbytes) -> "np.ndarray":
         """Vectorised :meth:`send` for one permutation round.
 
-        ``rnd`` is a :meth:`_Plan.round`: every listed source issues one
-        send; (src, dst) pairs are distinct, no pair is a self-send, and
-        each destination's matching receive is posted at its current
-        clock (the acyclic / round-phased precondition of :meth:`send`).
-        ``nbytes`` is a scalar or per-pair array.  Element for element
-        the float expressions match :meth:`send` exactly; callers inside
-        cyclic schedules must reject rendezvous sizes *before* calling
-        (see :meth:`send`'s eager-only counterpart).
+        ``rnd`` is a non-empty :meth:`_Plan.round`: every listed source
+        issues one send; (src, dst) pairs are distinct, no pair is a
+        self-send, and each destination's matching receive is posted at
+        its current clock (the acyclic / round-phased precondition of
+        :meth:`send`).  ``nbytes`` is a scalar or per-pair array.
+        Element for element the float expressions match :meth:`send`
+        exactly; callers inside cyclic schedules must reject rendezvous
+        sizes *before* calling.
         """
         srcs, dsts, keys, fixed = rnd
         clock = self.clock
@@ -441,6 +477,11 @@ class _Sched:
         self.recv_b[dsts] += nbytes
         clock[dsts] = completion
 
+    def round_trip(self, rnd: tuple, nbytes) -> None:
+        """One round's sends, then its receives at the round's
+        destinations (the round-phased shape every evaluator prices)."""
+        self.recv_round(rnd[1], self.send_round(rnd, nbytes), nbytes)
+
     def commit(self) -> None:
         # The caller's resume times must be plain Python floats (no
         # numpy scalars in the event loop's heap tuples); the committed
@@ -465,6 +506,10 @@ class _Sched:
         self.clock = clock
 
 
+#: Exact payload types that are 8 wire bytes and copy as themselves.
+_SCALARS = frozenset({float, int})
+
+
 def _round_sizes(values: Sequence[Any]) -> Tuple[Any, int, bool]:
     """Wire sizes for one round's payloads: ``(nbytes, max, scalars)``.
 
@@ -475,7 +520,7 @@ def _round_sizes(values: Sequence[Any]) -> Tuple[Any, int, bool]:
     ``scalars`` additionally tells the caller that :func:`copy_payload`
     would be the identity on every payload.
     """
-    if all(type(v) is float or type(v) is int for v in values):
+    if _SCALARS.issuperset(map(type, values)):
         return 8, 8, True
     sizes = [payload_nbytes(v) for v in values]
     hi = max(sizes)
@@ -484,17 +529,17 @@ def _round_sizes(values: Sequence[Any]) -> Tuple[Any, int, bool]:
     return np.array(sizes, dtype=np.int64), hi, False
 
 
-# -- per-algorithm schedules ------------------------------------------------
+# -- evaluators ---------------------------------------------------------------
 #
 # Each function replays the message algorithm's sends/recvs in an order
-# consistent with the event path's causal order: round- or step-phased
-# for symmetric patterns (all sends of a phase, then all recvs), and in
-# dependency order for trees/rings/stars.  Within a phase, distinct
-# ranks and distinct (src, dst) pairs make evaluation order irrelevant.
-# Round-phased schedules take their rounds from the plan (``_ROUNDS``).
+# consistent with the event path's causal order: round-phased over the
+# plan's rounds (all sends of a round, then all recvs), or in dependency
+# order for the two chains.  Within a round, distinct ranks and distinct
+# (src, dst) pairs make evaluation order irrelevant.  Every evaluator
+# takes ``(sched, reqs, ghost)``; see :func:`evaluate`.
 
 
-def _eval_barrier(s: _Sched, ghost: bool = False) -> List[Any]:
+def _eval_barrier(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
     if 0 > s.eager_max:
         # An "everything rendezvous" configuration makes even the
         # empty-payload dissemination shifts synchronous, and the
@@ -502,13 +547,12 @@ def _eval_barrier(s: _Sched, ghost: bool = False) -> List[Any]:
         # legitimately deadlock).
         raise _Bail
     for rnd in s.plan.rounds:
-        arrivals = s.send_round(rnd, 0)  # nbytes 0: always eager
-        s.recv_round(rnd[1], arrivals, 0)
+        s.round_trip(rnd, 0)  # nbytes 0: always eager
     return [None] if ghost else [None] * s.p
 
 
 def _eval_bcast_tree(
-    s: _Sched, root: int, value: Any, ghost: bool = False,
+    s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool,
     nonblocking: bool = False,
 ) -> List[Any]:
     """Binomial tree, round-phased: in round k every virtual rank
@@ -533,13 +577,14 @@ def _eval_bcast_tree(
     rendezvous-sized message decouples the transfer from the sender's
     progress -- real overlap only the event path reproduces -- so bail.
     """
+    root = reqs[0].root
+    value = reqs[root].value
     scalars = type(value) is float or type(value) is int
     nbytes = 8 if scalars else payload_nbytes(value)
     if nonblocking and nbytes > s.eager_max:
         raise _Bail
     for rnd in s.plan.rounds:
-        arrivals = s.send_round(rnd, nbytes)
-        s.recv_round(rnd[1], arrivals, nbytes)
+        s.round_trip(rnd, nbytes)
     n_out = 1 if ghost else s.p
     if scalars:
         return [value] * n_out
@@ -547,10 +592,11 @@ def _eval_bcast_tree(
     return [value if g == root else cp(value) for g in range(n_out)]
 
 
-def _eval_bcast_ring(s: _Sched, root: int, value: Any) -> List[Any]:
+def _eval_bcast_ring(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
     p = s.p
+    root = reqs[0].root
     out: List[Any] = [None] * p
-    v = value
+    v = reqs[root].value
     arrival = 0.0
     nbytes = 0
     nxt: Any = None
@@ -572,8 +618,10 @@ def _eval_bcast_ring(s: _Sched, root: int, value: Any) -> List[Any]:
     return out
 
 
-def _eval_bcast_flat(s: _Sched, root: int, value: Any) -> List[Any]:
+def _eval_bcast_flat(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
     p = s.p
+    root = reqs[0].root
+    value = reqs[root].value
     out: List[Any] = [None] * p
     out[root] = value
     nbytes = payload_nbytes(value)
@@ -586,51 +634,53 @@ def _eval_bcast_flat(s: _Sched, root: int, value: Any) -> List[Any]:
     return out
 
 
-def _eval_reduce(s: _Sched, root: int, reqs: Sequence[CollectiveReq]) -> List[Any]:
-    """Binomial reduction: round-phased by mask; pairs within a round
-    are disjoint.  Each receiver combines with *its own* resolved op,
-    as the event path does."""
+def _fold(s: _Sched, rnd: tuple, accs: List[Any], reqs: Sequence[CollectiveReq]) -> None:
+    """One acyclic fold round: every source sends its accumulator and
+    every destination combines it into its own with *its own* resolved
+    op, as the event path does."""
+    senders = rnd[0].tolist()
+    nbytes, _, scalars = _round_sizes([accs[g] for g in senders])
+    s.round_trip(rnd, nbytes)
+    if scalars:
+        for src, g in zip(senders, rnd[1].tolist()):
+            accs[g] = reqs[g].op(accs[g], accs[src])
+    else:
+        for src, g in zip(senders, rnd[1].tolist()):
+            accs[g] = reqs[g].op(accs[g], copy_payload(accs[src]))
+
+
+def _eval_reduce(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
+    """Binomial reduction: one fold per mask; pairs within a round are
+    disjoint."""
     accs = [req.value for req in reqs]  # by group rank
     for rnd in s.plan.rounds:
-        senders = rnd[0].tolist()
-        receivers = rnd[1].tolist()
-        nbytes, _, scalars = _round_sizes([accs[g] for g in senders])
-        arrivals = s.send_round(rnd, nbytes)
-        s.recv_round(rnd[1], arrivals, nbytes)
-        if scalars:
-            for src, g in zip(senders, receivers):
-                accs[g] = reqs[g].op(accs[g], accs[src])
-        else:
-            for src, g in zip(senders, receivers):
-                accs[g] = reqs[g].op(accs[g], copy_payload(accs[src]))
+        _fold(s, rnd, accs, reqs)
+    root = reqs[0].root
     out: List[Any] = [None] * s.p
     out[root] = accs[root]
     return out
 
 
-def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
-    """Recursive doubling: acyclic fold of the non-power-of-two excess,
-    eager-only butterfly (the plan's rounds), acyclic hand-back."""
+def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
+    """Recursive doubling over the plan's rounds: the acyclic fold of
+    the non-power-of-two excess, the eager-only butterfly, and the
+    acyclic hand-back (fold and hand-back exist only when p is not a
+    power of two)."""
     p = s.p
     accs = [req.value for req in reqs]
-    pof2 = 1
-    while pof2 * 2 <= p:
-        pof2 *= 2
+    pof2 = 1 << (p.bit_length() - 1)
     rem = p - pof2
-    for r in range(pof2, p):  # fold: r's send and (r - pof2)'s recv are first ops
-        payload = accs[r]
-        nbytes = payload_nbytes(payload)
-        arrival = s.send(r, r - pof2, nbytes)
-        s.recv(r - pof2, arrival, nbytes)
-        accs[r - pof2] = reqs[r - pof2].op(accs[r - pof2], copy_payload(payload))
+    butterfly = s.plan.rounds
+    if rem:
+        fold, *butterfly, hand_back = butterfly
+        _fold(s, fold, accs, reqs)
     mask = 1
-    for rnd in s.plan.rounds:
+    for rnd in butterfly:
         snapshot = accs[:pof2]  # payloads are the round-start accumulators
         nbytes, nb_max, scalars = _round_sizes(snapshot)
         if nb_max > s.eager_max:
             raise _Bail  # rendezvous inside the butterfly: event path decides
-        arrivals = s.send_round(rnd, nbytes)
-        s.recv_round(rnd[1], arrivals, nbytes)
+        s.round_trip(rnd, nbytes)
         if scalars:
             for r in range(pof2):
                 accs[r] = reqs[r].op(accs[r], snapshot[r ^ mask])
@@ -638,47 +688,54 @@ def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
             for r in range(pof2):
                 accs[r] = reqs[r].op(accs[r], copy_payload(snapshot[r ^ mask]))
         mask <<= 1
-    for r in range(rem):  # hand-back: receiver has been idle since the fold
-        payload = accs[r]
-        nbytes = payload_nbytes(payload)
-        arrival = s.send(r, r + pof2, nbytes)
-        s.recv(r + pof2, arrival, nbytes)
-        accs[r + pof2] = copy_payload(payload)
+    if rem:
+        # The receivers have been idle since their fold sends.
+        nbytes, _, scalars = _round_sizes(accs[:rem])
+        s.round_trip(hand_back, nbytes)
+        for r in range(rem):
+            accs[r + pof2] = accs[r] if scalars else copy_payload(accs[r])
     return accs
 
 
-def _eval_allgather_ring(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
+#: Wire bytes the ring allgather's ``(carry_rank, value)`` tuple adds to
+#: the value: payload_nbytes counts 8 for the int and 8 per element.
+_CARRY_BYTES = 24
+
+
+def _eval_allgather_ring(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
+    """Ring allgather: p - 1 steps of the plan's one shift round.  At
+    step t rank r forwards ``(c, value_c)`` for ``c = r - t`` (mod p),
+    so the step's wire sizes are the values' sizes rotated by t; every
+    step carries every value, so one rendezvous-sized value bails."""
     p = s.p
+    vals = [req.value for req in reqs]
+    sizes, hi, scalars = _round_sizes(vals)
+    if hi + _CARRY_BYTES > s.eager_max:
+        raise _Bail
+    sizes = sizes + _CARRY_BYTES
+    rnd = s.plan.rounds[0]
+    rotate = type(sizes) is np.ndarray
+    for step in range(p - 1):
+        s.round_trip(rnd, np.roll(sizes, step) if rotate else sizes)
+    if scalars:
+        # Buffered copies of floats and ints are the objects themselves.
+        return [list(vals) for _ in range(p)]
     outs: List[List[Any]] = [[None] * p for _ in range(p)]
-    carries = list(range(p))
     for r in range(p):
-        outs[r][r] = reqs[r].value  # own slot keeps the original object
+        outs[r][r] = vals[r]  # own slot keeps the original object
+    # What each rank sends next: the carry it received last step, as the
+    # event path's copy chain delivers it.
+    carried = list(enumerate(vals))
     for _step in range(p - 1):
-        payloads: List[Any] = [None] * p
-        arrivals = [0.0] * p
-        nbv = [0] * p
-        for r in range(p):
-            c = carries[r]
-            payload = (c, outs[r][c])
-            nbytes = payload_nbytes(payload)
-            right = r + 1
-            if right >= p:
-                right -= p
-            arrivals[right] = s.send_eager(r, right, nbytes)
-            nbv[right] = nbytes
-            payloads[r] = payload
-        for r in range(p):
-            left = r - 1
-            if left < 0:
-                left += p
-            s.recv(r, arrivals[r], nbv[r])
-            c, payload = copy_payload(payloads[left])
-            outs[r][c] = payload
-            carries[r] = c
+        carried = [copy_payload(carried[r - 1]) for r in range(p)]
+        for r, (c, value) in enumerate(carried):
+            outs[r][c] = value
     return outs
 
 
-def _eval_alltoall(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
+def _eval_alltoall(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
+    """Cyclic alltoall: in the plan's shift round k rank r sends its
+    block for ``r + k`` to it; a rendezvous-sized block bails."""
     p = s.p
     vals = [req.value for req in reqs]  # each a length-p list of payloads
     outs: List[List[Any]] = []
@@ -686,23 +743,152 @@ def _eval_alltoall(s: _Sched, reqs: Sequence[CollectiveReq]) -> List[Any]:
         o: List[Any] = [None] * p
         o[r] = vals[r][r]  # own slot keeps the original object
         outs.append(o)
-    for shift in range(1, p):
-        arrivals = [0.0] * p
-        nbv = [0] * p
-        for r in range(p):
-            dst = r + shift
-            if dst >= p:
-                dst -= p
-            nbytes = payload_nbytes(vals[r][dst])
-            arrivals[dst] = s.send_eager(r, dst, nbytes)
-            nbv[dst] = nbytes
-        for r in range(p):
-            src = r - shift
-            if src < 0:
-                src += p
-            s.recv(r, arrivals[r], nbv[r])
-            outs[r][src] = copy_payload(vals[src][r])
+    for rnd in s.plan.rounds:
+        dsts = rnd[1].tolist()
+        blocks = [vals[r][d] for r, d in enumerate(dsts)]
+        nbytes, nb_max, scalars = _round_sizes(blocks)
+        if nb_max > s.eager_max:
+            raise _Bail
+        s.round_trip(rnd, nbytes)
+        if scalars:
+            for r, d in enumerate(dsts):
+                outs[d][r] = blocks[r]
+        else:
+            for r, d in enumerate(dsts):
+                outs[d][r] = copy_payload(blocks[r])
     return outs
+
+
+def _eval_exchange(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
+    """One declared stencil phase (see :mod:`repro.simmpi.stencil`).
+
+    Mirrors the event path's wire protocol round for round: the plan's
+    send round per offset, then one receive round per offset, so every
+    rank's clock and comm-time accumulate in exactly the event path's
+    per-rank op order.  Rank r's offset-j receive completes the message
+    its peer sent in the mirror round ``mirrors[j]`` (the send
+    travelling ``-offsets[j]``), so offset j receives along that round's
+    destinations.  Raises ``_Bail`` on irregular payload sizes,
+    rendezvous-sized payloads, or self-peers.
+
+    ``ghost`` (closed-form engine): every entry of ``reqs`` is the same
+    request object, so rank 0's payloads size every column, and only
+    rank 0's delivered row is assembled -- the O(p) per-member column
+    scans and delivery copies collapse to O(offsets).
+    """
+    spec = reqs[0].algorithm
+    offsets = spec.offsets
+    shape = spec.shape
+    k = len(offsets)
+    if spec.wrap:
+        for off in offsets:
+            if all(o % sd == 0 for o, sd in zip(off, shape)):
+                # The offset maps every rank onto itself: self-sends
+                # have zero injection overhead, which the constant-
+                # overhead round primitive cannot express.
+                raise _Bail
+    vals: Optional[List[Any]] = None if ghost else [req.value for req in reqs]
+    v0 = reqs[0].value
+    nb: List[int] = []
+    immutable: List[bool] = []
+    for j in range(k):
+        x0 = v0[j]
+        t0 = type(x0)
+        scalar0 = t0 is float or t0 is int or t0 is bool
+        if scalar0 and (ghost or not any(type(v[j]) is not t0 for v in vals)):
+            # Scalar column: 8 wire bytes each (payload_nbytes), and
+            # nothing to copy on delivery -- the eager send path hands
+            # immutable payloads through as-is too.
+            n0 = 8
+            imm = True
+        else:
+            n0 = payload_nbytes(x0)
+            if not ghost and not s.run._cert_uniform:
+                # A macro certificate with the uniform-exchange bit
+                # proves every rank's payload has the same shape; then
+                # element 0 prices the whole column.  Without it, scan.
+                for v in vals:
+                    if payload_nbytes(v[j]) != n0:
+                        raise _Bail  # irregular sizes: not a uniform round
+            imm = False
+        if n0 > s.eager_max:
+            # Rendezvous payloads make the cyclic pattern synchronous;
+            # the event path must run (it may legitimately deadlock).
+            raise _Bail
+        nb.append(n0)
+        immutable.append(imm)
+
+    rounds = s.plan.rounds  # offset j: every rank with a peer -> that peer
+    arrivals = [
+        s.send_round(rnd, nb[j]) if len(rnd[0]) else None
+        for j, rnd in enumerate(rounds)
+    ]
+    mirrors = spec.mirrors
+    for j in range(k):
+        m = mirrors[j]
+        if arrivals[m] is not None:
+            s.recv_round(rounds[m][1], arrivals[m], nb[m])
+
+    # Rank r's offset-j slot holds its offset-j peer's mirror payload.
+    # Build per-offset delivery columns, then transpose: the column
+    # loops are flat list comprehensions, which matters at 10^4+ ranks.
+    cp = copy_payload
+    p = s.p
+    if ghost:
+        # Only rank 0's delivered row is observable; its peers' mirror
+        # payloads are rank 0's own (one shared request).  Round j's
+        # sources are ascending, so rank 0 has a peer iff it leads.
+        row0: List[Any] = []
+        for j in range(k):
+            m = mirrors[j]
+            srcs = rounds[j][0]
+            if not len(srcs) or srcs[0] != 0:
+                row0.append(None)
+            elif immutable[m]:
+                row0.append(v0[m])
+            else:
+                row0.append(cp(v0[m]))
+        return [row0]
+    delivered: List[List[Any]] = []
+    for j in range(k):
+        srcs, peers = rounds[j][0], rounds[j][1]
+        if len(srcs) < p:
+            # Open grid: -1 marks the ranks whose offset leaves it.
+            peers = np.full(p, -1, dtype=np.intp)
+            peers[srcs] = rounds[j][1]
+        pl = peers.tolist()
+        m = mirrors[j]
+        if immutable[m]:
+            colv = [vals[q][m] if q >= 0 else None for q in pl]
+        else:
+            # Same buffered-copy semantics as the eager send path.
+            colv = [cp(vals[q][m]) if q >= 0 else None for q in pl]
+        delivered.append(colv)
+    return [list(row) for row in zip(*delivered)]
+
+
+#: (kind, algorithm) -> its closed form.  The one list of what the
+#: macro layer evaluates; see the module docstring for what derives
+#: from it.
+TABLE: Dict[Tuple[str, str], ClosedForm] = {
+    ("barrier", "dissemination"): ClosedForm(_dissemination, _eval_barrier),
+    ("bcast", "tree"): ClosedForm(_tree_fanout, _eval_bcast_tree),
+    ("bcast", "tree_nb"): ClosedForm(
+        _tree_fanout, partial(_eval_bcast_tree, nonblocking=True)
+    ),
+    ("bcast", "ring"): ClosedForm(_chain, _eval_bcast_ring),
+    ("bcast", "flat"): ClosedForm(_chain, _eval_bcast_flat),
+    ("reduce", "binomial"): ClosedForm(_tree_fanin, _eval_reduce),
+    ("allreduce", "recursive_doubling"): ClosedForm(
+        _recursive_doubling, _eval_allreduce_rd
+    ),
+    ("allgather", "ring"): ClosedForm(_ring_shift, _eval_allgather_ring),
+    ("alltoall", "cyclic"): ClosedForm(_cyclic_shifts, _eval_alltoall),
+    ("exchange", "stencil"): ClosedForm(_stencil_rounds, _eval_exchange),
+}
+
+#: (kind, algorithm) pairs the evaluator can reproduce exactly.
+SUPPORTED = frozenset(TABLE)
 
 
 def evaluate(
@@ -729,42 +915,12 @@ def evaluate(
     result assembly.  The remaining evaluators ignore the flag and
     return all p values.
     """
-    req0 = reqs[0]
-    kind = req0.kind
+    form = plan.form
+    if form is None:
+        return None
     s = _Sched(run, plan, clocks)
     try:
-        if kind == "barrier":
-            out = _eval_barrier(s, ghost)
-        elif kind == "bcast":
-            root = req0.root
-            value = reqs[root].value
-            alg = req0.algorithm
-            if alg == "tree":
-                out = _eval_bcast_tree(s, root, value, ghost)
-            elif alg == "tree_nb":
-                out = _eval_bcast_tree(s, root, value, ghost, nonblocking=True)
-            elif alg == "ring":
-                out = _eval_bcast_ring(s, root, value)
-            elif alg == "flat":
-                out = _eval_bcast_flat(s, root, value)
-            else:
-                return None
-        elif kind == "reduce":
-            out = _eval_reduce(s, req0.root, reqs)
-        elif kind == "allreduce":
-            out = _eval_allreduce_rd(s, reqs)
-        elif kind == "allgather":
-            out = _eval_allgather_ring(s, reqs)
-        elif kind == "alltoall":
-            out = _eval_alltoall(s, reqs)
-        elif kind == "exchange":
-            # Stencil phase: the evaluator lives with its spec in
-            # stencil.py, which imports this module (local import keeps
-            # the dependency acyclic).
-            from repro.simmpi.stencil import eval_exchange
-            out = eval_exchange(s, reqs, ghost)
-        else:
-            return None
+        out = form.evaluate(s, reqs, ghost)
     except _Bail:
         return None
     s.commit()

@@ -13,15 +13,16 @@ replay interactively.
 shape, the offset set (each offset's negation must also be present),
 and whether the grid wraps.  :func:`exchange` (exposed as
 ``comm.exchange``) executes it: under engine macro-ops the whole phase
-becomes one :class:`~repro.simmpi.requests.CollectiveReq` priced in
-closed form by :func:`eval_exchange` through
-:class:`~repro.simmpi.macro._Sched` -- the same transactional
-clocks/stats/FIFO-overlay machinery and round builder the collective
-evaluators use --
-and otherwise (tracing, contention delivery, faults, or a
-per-invocation bail) the real send/recv sequence runs on the event
-path.  Both routes are bit-identical in makespans, per-rank stats, and
-returned payloads.
+becomes one :class:`~repro.simmpi.requests.CollectiveReq` priced by
+the ``("exchange", "stencil")`` entry of
+:data:`repro.simmpi.macro.TABLE` -- the same transactional
+clocks/stats/FIFO-overlay machinery the collective evaluators use.
+Its rounds, one per offset built from :meth:`StencilSpec.peer_columns`,
+live in the run's plan table under ``(None, "exchange", spec, 0)``, so
+a multi-step halo derives them once per run.  Otherwise (tracing,
+contention delivery, faults, or a per-invocation bail) the real
+send/recv sequence runs on the event path.  Both routes are
+bit-identical in makespans, per-rank stats, and returned payloads.
 
 The event path fixes the wire protocol the evaluator reproduces: each
 rank sends ``payloads[j]`` to its offset-``j`` peer with tag
@@ -45,13 +46,11 @@ overhead form).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.simmpi import collectives as _coll
-from repro.simmpi.macro import _Bail, _Sched
-from repro.simmpi.requests import CollectiveReq, copy_payload, payload_nbytes
 from repro.util.errors import CommunicationError, ConfigurationError
 
 
@@ -82,6 +81,9 @@ class StencilSpec:
     mirrors: Tuple[int, ...] = field(
         init=False, repr=False, compare=False, default=()
     )
+    #: ``hash`` of the identity fields, taken once: every member's
+    #: gather key hashes the spec at every exchange.
+    _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self) -> None:
         shape = tuple(int(s) for s in self.shape)
@@ -116,6 +118,10 @@ class StencilSpec:
                 )
             mirrors.append(j)
         object.__setattr__(self, "mirrors", tuple(mirrors))
+        object.__setattr__(self, "_hash", hash((shape, offsets, self.wrap)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def size(self) -> int:
@@ -220,9 +226,12 @@ def exchange(comm: Any, spec: StencilSpec, payloads: Sequence[Any]) -> Generator
             f"stencil shape {spec.shape} covers {spec.size} ranks; "
             f"communicator has {comm.size}"
         )
-    if comm._macro and comm.size > 1:
-        return _coll._macro_collective(comm, "exchange", spec, 0, None, payloads)
-    return _exchange_event(comm, spec, payloads)
+    # The spec rides in the algorithm slot; the phase runs under the
+    # caller's own phase label when traced.
+    return _coll._dispatch(
+        comm, "exchange", spec, 0, None, payloads,
+        _exchange_event, (comm, spec, payloads), False,
+    )
 
 
 def _exchange_event(comm: Any, spec: StencilSpec, payloads: Sequence[Any]) -> Generator:
@@ -240,146 +249,3 @@ def _exchange_event(comm: Any, spec: StencilSpec, payloads: Sequence[Any]) -> Ge
             msg = yield from comm.recv(source=peer, tag=tag0 - mirrors[j])
             out[j] = msg.payload
     return out
-
-
-#: spec -> :meth:`StencilSpec.peer_columns` memo.  Bounded by the
-#: number of distinct phases a process declares (a handful).
-_PEER_COLUMNS: Dict[StencilSpec, List[np.ndarray]] = {}
-
-
-def eval_exchange(
-    s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool = False
-) -> List[Any]:
-    """Closed-form pricing of one exchange invocation (all members
-    parked; clocks/stats live in the transactional ``s``).
-
-    Mirrors :func:`_exchange_event` round for round: one vectorised
-    send round per offset, then one receive round per offset, so every
-    rank's clock and comm-time accumulate in exactly the event path's
-    per-rank op order.  Raises ``_Bail`` -- nothing committed, the
-    engine replays the event path -- on irregular payload sizes,
-    rendezvous-sized payloads, self-peers, or a spec/communicator size
-    mismatch.
-
-    ``ghost`` (closed-form engine): every entry of ``reqs`` is the same
-    request object, so rank 0's payloads size every column, and only
-    rank 0's delivered row is assembled -- the O(p) per-member column
-    scans and delivery copies collapse to O(offsets).
-    """
-    spec = reqs[0].algorithm
-    p = s.p
-    if spec.size != p:
-        raise _Bail
-    offsets = spec.offsets
-    shape = spec.shape
-    k = len(offsets)
-    if spec.wrap:
-        for off in offsets:
-            if all(o % sd == 0 for o, sd in zip(off, shape)):
-                # The offset maps every rank onto itself: self-sends
-                # have zero injection overhead, which the constant-
-                # overhead round primitive cannot express.
-                raise _Bail
-    vals: Optional[List[Any]] = None if ghost else [req.value for req in reqs]
-    v0 = reqs[0].value
-    nb: List[int] = []
-    immutable: List[bool] = []
-    for j in range(k):
-        x0 = v0[j]
-        t0 = type(x0)
-        scalar0 = t0 is float or t0 is int or t0 is bool
-        if scalar0 and (ghost or not any(type(v[j]) is not t0 for v in vals)):
-            # Scalar column: 8 wire bytes each (payload_nbytes), and
-            # nothing to copy on delivery -- the eager send path hands
-            # immutable payloads through as-is too.
-            n0 = 8
-            imm = True
-        else:
-            n0 = payload_nbytes(x0)
-            if not ghost and not s.run._cert_uniform:
-                # A macro certificate with the uniform-exchange bit
-                # proves every rank's payload has the same shape; then
-                # element 0 prices the whole column.  Without it, scan.
-                for v in vals:
-                    if payload_nbytes(v[j]) != n0:
-                        raise _Bail  # irregular sizes: not a uniform round
-            imm = False
-        if n0 > s.eager_max:
-            # Rendezvous payloads make the cyclic pattern synchronous;
-            # the event path must run (it may legitimately deadlock).
-            raise _Bail
-        nb.append(n0)
-        immutable.append(imm)
-
-    peers = _PEER_COLUMNS.get(spec)
-    if peers is None:
-        # Specs are immutable and hashable; the columns are read-only
-        # here, so one derivation serves every epoch of the phase.
-        peers = _PEER_COLUMNS[spec] = spec.peer_columns()
-    # Rounds go through the plan's round builder but are not kept in it:
-    # a point runs a phase at most ``steps`` times, and the peer
-    # columns above are already memoised.
-    round_of = s.plan.round
-    idx = np.arange(p, dtype=np.intp)
-    arrivals: List[np.ndarray] = []
-    for j in range(k):
-        pa = peers[j]
-        if spec.wrap:
-            arrivals.append(s.send_round(round_of(idx, pa.astype(np.intp)), nb[j]))
-        else:
-            srcs = idx[pa >= 0]
-            dense = np.zeros(p, dtype=np.float64)
-            if srcs.size:
-                dense[srcs] = s.send_round(
-                    round_of(srcs, pa[srcs].astype(np.intp)), nb[j]
-                )
-            arrivals.append(dense)
-    mirrors = spec.mirrors
-    for j in range(k):
-        pa = peers[j]
-        m = mirrors[j]
-        # Rank r's offset-j receive completes the message its peer sent
-        # in the peer's mirror round (the send traveling -offsets[j]).
-        if spec.wrap:
-            s.recv_round(idx, arrivals[m][pa], nb[m])
-        else:
-            dsts = idx[pa >= 0]
-            if dsts.size:
-                s.recv_round(dsts, arrivals[m][pa[dsts]], nb[m])
-
-    # Rank r's offset-j slot holds its peer's mirror payload.  Build
-    # per-offset delivery columns, then transpose: the column loops are
-    # flat list comprehensions, which matters at 10^4+ ranks.
-    cp = copy_payload
-    if ghost:
-        # Only rank 0's delivered row is observable; its peers' mirror
-        # payloads are rank 0's own (one shared request).
-        row0: List[Any] = []
-        for j in range(k):
-            m = mirrors[j]
-            if int(peers[j][0]) < 0:
-                row0.append(None)
-            elif immutable[m]:
-                row0.append(v0[m])
-            else:
-                row0.append(cp(v0[m]))
-        return [row0]
-    delivered: List[List[Any]] = []
-    for j in range(k):
-        pl = peers[j].tolist()
-        m = mirrors[j]
-        if immutable[m]:
-            colv = [vals[q][m] if q >= 0 else None for q in pl]
-        else:
-            # Same buffered-copy semantics as the eager send path.
-            colv = [cp(vals[q][m]) if q >= 0 else None for q in pl]
-        delivered.append(colv)
-    return [list(row) for row in zip(*delivered)]
-
-
-# The engine resumes every member with MACRO_FALLBACK when the
-# evaluator bails; the dispatch layer then replays the event-path
-# protocol with the spec it finds in the algorithm slot.
-_coll._MACRO_FALLBACK_IMPLS["exchange"] = (
-    lambda comm, value, root, op, alg: _exchange_event(comm, alg, value)
-)

@@ -319,3 +319,28 @@ def test_property_allreduce_matches_numpy(p, values):
 
     result = run_program(toy_machine(p), p, program)
     assert all(r == pytest.approx(np.sum(vals), abs=1e-6) for r in result.returns)
+
+
+_BOGUS_CALLS = {
+    "bcast": lambda comm: comm.bcast([1.0], algorithm="bogus"),
+    "gather": lambda comm: comm.gather([1.0], algorithm="bogus"),
+    "scatter": lambda comm: comm.scatter([[1.0]] * comm.size, algorithm="bogus"),
+    "allgather": lambda comm: comm.allgather([1.0], algorithm="bogus"),
+    "allreduce": lambda comm: comm.allreduce(1.0, algorithm="bogus"),
+    "alltoall": lambda comm: comm.alltoall([[1.0]] * comm.size, algorithm="bogus"),
+}
+
+
+@pytest.mark.parametrize("macro_ops", [True, False])
+@pytest.mark.parametrize("p", [1, 4])
+@pytest.mark.parametrize("kind", sorted(_BOGUS_CALLS))
+def test_unknown_algorithm_raises_at_every_size(kind, p, macro_ops):
+    """The algorithm name is validated at the dispatch call, so a
+    1-rank communicator (which moves no message) refuses it too."""
+    from repro.machine.presets import touchstone_delta
+
+    def program(comm):
+        return (yield from _BOGUS_CALLS[kind](comm))
+
+    with pytest.raises(CommunicationError, match=f"unknown {kind} algorithm 'bogus'"):
+        run_program(touchstone_delta(), p, program, macro_ops=macro_ops)

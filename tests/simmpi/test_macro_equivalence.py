@@ -315,3 +315,39 @@ def test_lu2d_macro_survives_rendezvous_bail():
 
     assert np.array_equal(macro.lu, ref.lu)
     assert macro.sim.macro_fallbacks > 0
+
+
+# ---------------------------------------------------------------------------
+# per-pair wire sizes inside the shift and butterfly rounds
+# ---------------------------------------------------------------------------
+
+def _irregular_program(comm):
+    """Rank-dependent payload sizes in every round-phased evaluator:
+    the ring allgather's sizes rotate step by step, the alltoall's vary
+    per block, and list concatenation grows the recursive-doubling
+    accumulators unevenly through fold, butterfly and hand-back."""
+    import numpy as np
+
+    yield from comm.compute(seconds=1e-5 * (comm.rank % 3))
+    ring = yield from comm.allgather(np.arange(comm.rank % 4, dtype=float))
+    blocks = [np.arange((comm.rank + j) % 5, dtype=float) for j in range(comm.size)]
+    swapped = yield from comm.alltoall(blocks)
+    joined = yield from comm.allreduce(
+        [comm.rank] * (comm.rank % 3), op=lambda a, b: a + b,
+        algorithm="recursive_doubling",
+    )
+    return (
+        [v.tolist() for v in ring], [v.tolist() for v in swapped], joined
+    )
+
+
+@pytest.mark.parametrize(
+    "p,eager",
+    # 48 B: the hand-back is rendezvous (priced); 40 B and 64 B: the
+    # butterfly is, so the invocation falls back.
+    [(5, EAGER), (8, EAGER), (12, EAGER), (5, 48.0), (5, 40.0), (12, 64.0)],
+)
+def test_irregular_payload_sizes_bit_identical(p, eager):
+    ref = _run(_irregular_program, p, False, eager=eager)
+    macro = _run(_irregular_program, p, True, eager=eager)
+    _assert_identical(macro, ref)

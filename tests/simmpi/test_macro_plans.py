@@ -5,14 +5,16 @@ invocation, so it must stay an upper bound on every recorded arrival
 whatever mix of traffic wrote them.  The plan table is bounded by
 ``macro.PLAN_CAP_PAIRS``: a rotating-root world broadcast builds a new
 plan per root, and the table must clear instead of growing past the
-cap, without changing a result.
+cap, without changing a result.  Stencil exchanges keep their rounds
+in the same table, one plan per declared spec.
 """
 
+import numpy as np
 import pytest
 
 import repro.simmpi.macro as macro
 from repro.machine.presets import touchstone_delta
-from repro.simmpi import Engine
+from repro.simmpi import Engine, grid_halo
 
 from .test_macro_equivalence import _assert_identical
 
@@ -101,3 +103,54 @@ def test_plan_table_stays_under_its_cap(monkeypatch, cap):
     assert len(held) == 48
     assert max(held) == (2 if cap == 64 else 0)
     _assert_identical(res, _run(_rotating_root, 16, False))
+
+
+def _two_phase_halo(comm):
+    """Three steps of two declared phases: all four neighbours with
+    scalars, then the row axis with arrays."""
+    both = grid_halo(4, 4)
+    rows = grid_halo(4, 4, axis=0)
+    h = float(comm.rank)
+    for _ in range(3):
+        hn = yield from comm.exchange(both, [h, h + 1.0, h + 2.0, h + 3.0])
+        h = h + hn[0] - hn[1] + hn[2] - hn[3]
+        vn = yield from comm.exchange(rows, [np.full(3, h), np.full(3, -h)])
+        h += float(vn[0][0] - vn[1][1])
+    return h
+
+
+def test_exchange_builds_one_plan_per_spec_and_reuses_it(monkeypatch):
+    keys = []
+
+    def check(run, plan):
+        keys.extend(k for k, v in run._plans.items() if v is plan)
+
+    calls = _spy_sched(monkeypatch, check)
+    res = _run(_two_phase_halo, 16, True)
+    assert res.macro_fallbacks == 0
+    assert len(calls) == 6
+    assert len({id(pl) for pl in calls}) == 2
+    assert keys == [
+        (None, "exchange", spec, 0)
+        for _ in range(3) for spec in (grid_halo(4, 4), grid_halo(4, 4, axis=0))
+    ]
+    _assert_identical(res, _run(_two_phase_halo, 16, False))
+
+
+@pytest.mark.parametrize("cap", [100, 16])
+def test_exchange_plans_stay_under_the_cap(monkeypatch, cap):
+    """The two plans hold 16 + 4 * 16 = 80 and 16 + 2 * 16 = 48 pairs: a
+    cap of 100 holds one at a time, a cap of 16 neither."""
+    monkeypatch.setattr(macro, "PLAN_CAP_PAIRS", cap)
+    held = []
+
+    def check(run, plan):
+        assert run._plan_pairs <= cap
+        assert run._plan_pairs == sum(pl.size for pl in run._plans.values())
+        held.append(len(run._plans))
+
+    _spy_sched(monkeypatch, check)
+    res = _run(_two_phase_halo, 16, True)
+    assert len(held) == 6
+    assert max(held) == (1 if cap == 100 else 0)
+    _assert_identical(res, _run(_two_phase_halo, 16, False))

@@ -15,6 +15,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps import cfd, ocean
 from repro.linalg.decomp import ProcessGrid2D
@@ -25,6 +27,9 @@ from repro.util.errors import (
     ConfigurationError,
     DeadlockError,
 )
+
+from .test_macro_equivalence import _assert_identical
+from .test_macro_generated import _comparable
 
 
 class TestStencilSpec:
@@ -251,3 +256,83 @@ class TestExchangeEquivalence:
         mac = Engine(touchstone_delta(), 4, macro_ops=True).run(program)
         _assert_sim_identical(mac, ref)
         _assert_payload_rows_equal(mac.returns, ref.returns)
+
+
+# ---------------------------------------------------------------------------
+# generated phases: macro path == event path
+# ---------------------------------------------------------------------------
+
+THRESHOLDS = (float("inf"), 0.0, 256.0)
+
+
+@st.composite
+def _stencil_scenarios(draw):
+    wrap = draw(st.booleans())
+    if draw(st.booleans()):
+        spec = strip_halo(draw(st.integers(1, 24)), wrap=wrap)
+    else:
+        rows = draw(st.integers(1, 6))
+        cols = draw(st.integers(1, 24 // rows))
+        axis = draw(st.sampled_from((0, 1, None)))
+        spec = grid_halo(rows, cols, axis=axis, wrap=wrap)
+    step = st.tuples(
+        st.one_of(st.none(), st.integers(0, 64)),  # scalar, or ndarray length
+        st.one_of(  # point-to-point (from, distance, nbytes) before the phase
+            st.none(),
+            st.tuples(st.integers(0, 23), st.integers(1, 23), st.integers(0, 16384)),
+        ),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=3))
+    return spec, draw(st.sampled_from(THRESHOLDS)), steps
+
+
+def _generated_program(comm, spec, steps):
+    out = []
+    for i, (length, p2p) in enumerate(steps):
+        if p2p is not None:
+            # Often a stencil pair, whose FIFO clamp the phase then reads.
+            a, distance, nbytes = p2p
+            src = a % comm.size
+            dst = (src + distance) % comm.size
+            if src != dst:
+                if comm.rank == src:
+                    yield from comm.send(float(i), dst, tag=7, nbytes=nbytes)
+                elif comm.rank == dst:
+                    msg = yield from comm.recv(source=src, tag=7)
+                    out.append((msg.payload, msg.arrival_time))
+        payloads = [
+            float(comm.rank * 31 + i + j) if length is None
+            else np.arange(length, dtype=np.float64) * (comm.rank + 1) + j
+            for j in range(len(spec.offsets))
+        ]
+        got = yield from comm.exchange(spec, payloads)
+        out.append(_comparable(got))
+    return out
+
+
+def _generated_outcome(spec, eager, steps, macro):
+    engine = Engine(
+        touchstone_delta(), spec.size, seed=3,
+        eager_threshold_bytes=eager, macro_ops=macro,
+    )
+    try:
+        return engine.run(_generated_program, spec, steps)
+    except DeadlockError as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stencil_scenarios())
+def test_generated_exchanges_bit_identical(scenario):
+    """1-D and 2-D grids up to 24 ranks, wrapped or open, one axis or
+    both, scalar or 0-64 element payloads, three eager thresholds and
+    optional point-to-point traffic before each phase: the macro run
+    prices (or falls back) bit-identically, and deadlocks identically."""
+    spec, eager, steps = scenario
+    ref = _generated_outcome(spec, eager, steps, False)
+    macro = _generated_outcome(spec, eager, steps, True)
+    if isinstance(ref, DeadlockError) or isinstance(macro, DeadlockError):
+        assert type(macro) is type(ref)
+        assert str(macro) == str(ref)
+        return
+    _assert_identical(macro, ref)
