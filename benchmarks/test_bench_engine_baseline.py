@@ -233,7 +233,7 @@ def test_bench_lint_1024_symbolic(bench_record):
         n_programs = _count_rank_programs(_LINT_TREES)
         assert n_programs >= 10
         findings, wall = _best_of(
-            lambda: analyze_paths(_LINT_TREES, symbolic=True, n_ranks=1024)
+            lambda: analyze_paths(_LINT_TREES, n_ranks=1024)
         )
     finally:
         os.chdir(cwd)

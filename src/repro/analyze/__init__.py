@@ -3,18 +3,14 @@
 The ASTA software-tools thrust the paper describes funded exactly this
 class of tooling: correctness checkers that let application teams trust
 message-passing codes *before* burning machine time.  This package is
-that tool for the repo's simulator: an ``ast``-based linter that walks
-rank-program source and reports typed findings for ten rule classes --
+that tool for the repo's simulator: a linter that walks rank-program
+source and reports typed findings for seven rule classes --
 
 ====  ========================  ===========================================
 code  name                      catches
 ====  ========================  ===========================================
 W001  dropped-coroutine         ``comm.send(...)`` without ``yield from``
 W002  leaked-handle             isend/irecv handle never waited on
-W003  divergent-collective      collective under a ``comm.rank`` branch
-W004  symmetric-blocking-send   unordered symmetric exchange (rendezvous
-                                deadlock above the eager threshold)
-W005  tag-mismatch              constant send tag no recv will match
 W006  wildcard-race             ``recv(ANY_SOURCE)`` racing a tagged recv
 W007  unmatched-send            cross-rank matching: a send no receive
                                 accepts, or a receive no send satisfies
@@ -26,26 +22,28 @@ W010  mirror-pairing            neighbor-exchange receive offsets are not
                                 the negated send offsets
 ====  ========================  ===========================================
 
-W001-W006 are per-program AST rules.  W007-W010 are *symbolic*: the
-abstract interpreter in :mod:`repro.analyze.symbolic` partially
-evaluates each program over a symbolic rank, and the matchers in
-:mod:`repro.analyze.schedule` instantiate the resulting parameterized
-schedule for every rank of an ``n_ranks``-rank world and cross-check
-the ranks against each other.  They run only when the symbolic pass is
-requested (``symbolic=True`` below, or ``repro lint --symbolic``).
+W001, W002 and W006 are per-program AST rules.  W007-W010 are
+*symbolic*: the abstract interpreter in :mod:`repro.analyze.symbolic`
+partially evaluates each program over a symbolic rank, and the matchers
+in :mod:`repro.analyze.schedule` instantiate the resulting parameterized
+schedule for every rank of an ``n_ranks``-rank world (default 8) and
+cross-check the ranks against each other.  Every rule runs on every
+call.  The retired codes W003, W004 and W005 are aliases of W008, W009
+and W007 (:data:`~repro.analyze.registry.ALIASES`): they still work in
+``select=`` and in disable comments, and findings carry the target code.
 
 Programmatic use::
 
     from repro.analyze import analyze_program
 
     findings = analyze_program(my_rank_program)   # or a source string
-    findings = analyze_program(my_rank_program, symbolic=True, n_ranks=8)
+    findings = analyze_program(my_rank_program, n_ranks=2)
     for f in findings:
         print(f.render())
 
 Command line: ``python -m repro lint <path>...`` (exit 1 on findings).
-Suppress a finding with ``# repro: disable=W004`` on the flagged line
-(multiple codes separate with commas: ``# repro: disable=W004,W009``).
+Suppress a finding with ``# repro: disable=W009`` on the flagged line
+(multiple codes separate with commas: ``# repro: disable=W001,W009``).
 For hazards the static pass cannot prove, :func:`confirm_deadlock` runs
 the program under forced rendezvous and returns the resulting
 :class:`~repro.util.errors.DeadlockError` -- whose wait-for graph names
@@ -58,13 +56,12 @@ import ast
 import inspect
 import os
 import textwrap
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Optional, Set, Union
 
 from repro.analyze.findings import SEVERITIES, Finding, sort_findings
 from repro.analyze.registry import (
     CHECKS,
     RULES,
-    SYMBOLIC_CHECKS,
     Rule,
     filter_suppressed,
     resolve_select,
@@ -72,7 +69,7 @@ from repro.analyze.registry import (
     validate_codes,
 )
 from repro.analyze.reporting import format_findings, format_findings_json, summarize
-from repro.analyze.visitor import ProgramModel, build_models
+from repro.analyze.visitor import ProgramModel, build_model, iter_program_defs
 from repro.analyze.dynamic import confirm_deadlock
 from repro.util.errors import AnalysisError
 
@@ -115,34 +112,21 @@ def _dedup(findings: Iterable[Finding], seen: set) -> List[Finding]:
 
 
 def _run_checks(
-    models: Iterable[ProgramModel], select: Optional[object]
+    tree: ast.Module, filename: str, codes: Set[str], n_ranks: int
 ) -> List[Finding]:
-    codes = resolve_select(select)
-    findings: List[Finding] = []
-    seen: set = set()
-    for model in models:
-        for code in RULES:
-            if code not in codes or code not in CHECKS:
-                continue
-            findings.extend(_dedup(CHECKS[code](model), seen))
-    return findings
-
-
-def _run_symbolic_checks(
-    tree: ast.Module, filename: str, select: Optional[object], n_ranks: int
-) -> List[Finding]:
+    # The interpreter pulls in the simulator's closed-form tables; import
+    # it on first use so ``import repro.analyze`` stays light.
     from repro.analyze.symbolic import interpret_def
-    from repro.analyze.visitor import iter_program_defs
 
-    codes = resolve_select(select)
     findings: List[Finding] = []
     seen: set = set()
     for fn in iter_program_defs(tree):
+        model = build_model(fn, filename)
         program = interpret_def(fn, n_ranks, filename)
-        for code in RULES:
-            if code not in codes or code not in SYMBOLIC_CHECKS:
-                continue
-            findings.extend(_dedup(SYMBOLIC_CHECKS[code](program), seen))
+        for code, meta in RULES.items():
+            if code in codes:
+                subject = program if meta.cross_rank else model
+                findings.extend(_dedup(CHECKS[code](subject), seen))
     return findings
 
 
@@ -152,24 +136,23 @@ def analyze_source(
     *,
     select: Optional[object] = None,
     line_offset: int = 0,
-    symbolic: bool = False,
     n_ranks: int = DEFAULT_SYMBOLIC_RANKS,
 ) -> List[Finding]:
     """Analyse a module or function body given as source text.
 
-    ``symbolic=True`` additionally runs the cross-rank rules
-    (W007-W010) at world size ``n_ranks``.
+    The cross-rank rules instantiate each program at world size
+    ``n_ranks``.
     """
+    if n_ranks < 1:
+        raise AnalysisError(f"world size must be at least 1 rank, got {n_ranks}")
+    codes = resolve_select(select)
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
         raise AnalysisError(f"{filename}: cannot parse: {exc}") from exc
     if line_offset:
         ast.increment_lineno(tree, line_offset)
-    models = build_models(tree, filename)
-    findings = _run_checks(models, select)
-    if symbolic:
-        findings.extend(_run_symbolic_checks(tree, filename, select, n_ranks))
+    findings = _run_checks(tree, filename, codes, n_ranks)
     findings = filter_suppressed(findings, suppressed_lines(source, line_offset))
     return sort_findings(findings)
 
@@ -178,7 +161,6 @@ def analyze_program(
     fn_or_source: Union[Callable, str],
     *,
     select: Optional[object] = None,
-    symbolic: bool = False,
     n_ranks: int = DEFAULT_SYMBOLIC_RANKS,
 ) -> List[Finding]:
     """Analyse one rank program.
@@ -188,9 +170,7 @@ def analyze_program(
     string containing one or more program definitions.
     """
     if isinstance(fn_or_source, str):
-        return analyze_source(
-            fn_or_source, select=select, symbolic=symbolic, n_ranks=n_ranks
-        )
+        return analyze_source(fn_or_source, select=select, n_ranks=n_ranks)
     if not callable(fn_or_source):
         raise AnalysisError(
             f"analyze_program expects a function or source string, "
@@ -209,7 +189,6 @@ def analyze_program(
         filename=filename,
         select=select,
         line_offset=first_line - 1,
-        symbolic=symbolic,
         n_ranks=n_ranks,
     )
 
@@ -218,7 +197,6 @@ def analyze_file(
     path: str,
     *,
     select: Optional[object] = None,
-    symbolic: bool = False,
     n_ranks: int = DEFAULT_SYMBOLIC_RANKS,
 ) -> List[Finding]:
     """Analyse one Python file."""
@@ -228,7 +206,7 @@ def analyze_file(
     except OSError as exc:
         raise AnalysisError(f"cannot read {path}: {exc}") from exc
     return analyze_source(
-        source, filename=path, select=select, symbolic=symbolic, n_ranks=n_ranks
+        source, filename=path, select=select, n_ranks=n_ranks
     )
 
 
@@ -236,7 +214,6 @@ def analyze_paths(
     paths: Iterable[str],
     *,
     select: Optional[object] = None,
-    symbolic: bool = False,
     n_ranks: int = DEFAULT_SYMBOLIC_RANKS,
 ) -> List[Finding]:
     """Analyse files and directory trees (``.py`` files, recursively)."""
@@ -254,7 +231,5 @@ def analyze_paths(
             raise AnalysisError(f"no such file or directory: {path}")
     findings: List[Finding] = []
     for path in files:
-        findings.extend(
-            analyze_file(path, select=select, symbolic=symbolic, n_ranks=n_ranks)
-        )
+        findings.extend(analyze_file(path, select=select, n_ranks=n_ranks))
     return sort_findings(findings)

@@ -4,7 +4,7 @@ The static rules flag *hazards*; this module turns a hazard into a
 reproduced failure.  :func:`confirm_deadlock` executes the rank program
 on a tiny crossbar machine with the eager threshold at zero, so every
 payload-bearing send takes the rendezvous path -- the regime where
-W004-style bugs actually deadlock.  On deadlock it returns the
+W009-style bugs actually deadlock.  On deadlock it returns the
 :class:`~repro.util.errors.DeadlockError`, whose ``wait_for`` graph and
 ``cycle`` attributes (built by the engine's wait-for-graph explainer)
 identify the ranks involved; a clean run returns ``None``.

@@ -6,12 +6,17 @@ their metadata (code, name, severity, one-line summary) in
 driver iterates the registry, so adding a rule is a single decorated
 function in :mod:`repro.analyze.rules`.
 
+:data:`ALIASES` keeps retired codes working: W003, W004 and W005 were
+per-rank pattern matches for bugs the cross-rank rules W008, W009 and
+W007 prove, so selecting or disabling an alias selects or disables its
+target, and findings always carry the target code.
+
 Suppressions are line-scoped comments on the flagged line::
 
-    yield from comm.send(a, left, tag=0)  # repro: disable=W004
+    yield from comm.send(a, left, tag=0)  # repro: disable=W009
     comm.send(x, 1)                       # repro: disable=all
 
-Multiple codes separate with commas: ``# repro: disable=W001,W004``.
+Multiple codes separate with commas: ``# repro: disable=W001,W009``.
 """
 
 from __future__ import annotations
@@ -32,23 +37,23 @@ class Rule:
     name: str
     severity: str
     summary: str
-    #: Symbolic rules run over the cross-rank schedule (built by
-    #: :mod:`repro.analyze.symbolic`), not the per-program AST model,
-    #: and only when the symbolic pass is enabled
-    #: (``analyze_source(..., symbolic=True)`` / ``repro lint --symbolic``).
-    symbolic: bool = False
+    #: Cross-rank rules check the schedule built by
+    #: :mod:`repro.analyze.symbolic` instead of the per-program AST
+    #: model.
+    cross_rank: bool = False
 
 
 #: code -> rule metadata, in registration order.
 RULES: Dict[str, Rule] = {}
-#: code -> check function ``(model: ProgramModel) -> List[Finding]``.
+#: code -> check function, ``(model: ProgramModel) -> List[Finding]``
+#: or, for cross-rank rules, ``(program: SymbolicProgram) -> List[Finding]``.
 CHECKS: Dict[str, Callable] = {}
-#: code -> symbolic check ``(program: SymbolicProgram) -> List[Finding]``.
-SYMBOLIC_CHECKS: Dict[str, Callable] = {}
+#: Retired code -> the rule that subsumes it.
+ALIASES: Dict[str, str] = {"W003": "W008", "W004": "W009", "W005": "W007"}
 
 
 def rule(
-    code: str, name: str, severity: str, summary: str, symbolic: bool = False
+    code: str, name: str, severity: str, summary: str, cross_rank: bool = False
 ) -> Callable:
     """Class decorator-style registrar for rule check functions."""
     if severity not in SEVERITIES:
@@ -60,31 +65,31 @@ def rule(
         if code in RULES:
             raise AnalysisError(f"duplicate rule code {code}")
         RULES[code] = Rule(
-            code=code, name=name, severity=severity, summary=summary, symbolic=symbolic
+            code=code, name=name, severity=severity, summary=summary,
+            cross_rank=cross_rank,
         )
-        if symbolic:
-            SYMBOLIC_CHECKS[code] = check
-        else:
-            CHECKS[code] = check
+        CHECKS[code] = check
         return check
 
     return decorator
 
 
 def validate_codes(codes: Iterable[str]) -> Set[str]:
-    """Check every code is registered; returns the set, raises
-    :class:`AnalysisError` naming the unknown codes otherwise."""
+    """Check every code is registered or an alias; returns the set of
+    rule codes they select, raises :class:`AnalysisError` naming the
+    unknown codes otherwise."""
     requested = {str(c) for c in codes}
-    unknown = requested - set(RULES)
+    unknown = requested - set(RULES) - set(ALIASES)
     if unknown:
         raise AnalysisError(
-            f"unknown rule code(s) {sorted(unknown)}; available: {sorted(RULES)}"
+            f"unknown rule code(s) {sorted(unknown)}; "
+            f"available: {sorted([*RULES, *ALIASES])}"
         )
-    return requested
+    return {ALIASES.get(c, c) for c in requested}
 
 
 def resolve_select(select: object) -> Set[str]:
-    """Normalise a rule selection (None, ``"W001,W004"``, or iterable)
+    """Normalise a rule selection (None, ``"W001,W009"``, or iterable)
     to a set of registered codes; raises on unknown codes."""
     if select is None:
         return set(RULES)
@@ -113,11 +118,12 @@ def suppressed_lines(source: str, line_offset: int = 0) -> Dict[int, Set[str]]:
 def filter_suppressed(
     findings: Iterable[Finding], suppressions: Dict[int, Set[str]]
 ) -> List[Finding]:
-    """Drop findings whose line carries a matching disable comment."""
+    """Drop findings whose line carries a matching disable comment
+    (an alias disables its target)."""
     kept = []
     for finding in findings:
-        codes = suppressions.get(finding.line)
-        if codes and ("all" in codes or finding.rule in codes):
+        codes = suppressions.get(finding.line, ())
+        if "all" in codes or finding.rule in {ALIASES.get(c, c) for c in codes}:
             continue
         kept.append(finding)
     return kept

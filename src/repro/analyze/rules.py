@@ -1,26 +1,26 @@
-"""The communication-correctness rules (W001-W010).
+"""The communication-correctness rules.
 
-W001-W006 are per-program AST rules: each is a function from a
-:class:`~repro.analyze.visitor.ProgramModel` to a list of
+W001, W002 and W006 are per-program AST rules: each is a function from
+a :class:`~repro.analyze.visitor.ProgramModel` to a list of
 :class:`~repro.analyze.findings.Finding`, registered through
-:func:`~repro.analyze.registry.rule`.  The rules are deliberately tuned
-for the repo's rank-program idiom: near-zero false positives on
-``src/repro/linalg``, ``src/repro/apps`` and ``examples`` (enforced in
-CI), with the deliberately-buggy fixtures under
-``tests/analyze/fixtures`` documenting exactly what each rule does and
-does not flag.
+:func:`~repro.analyze.registry.rule`.
 
-W007-W010 are *symbolic* rules (``symbolic=True``): they run over the
-cross-rank schedule built by :mod:`repro.analyze.symbolic` and
-instantiated/matched by :mod:`repro.analyze.schedule`, so they see
-whole-program facts -- which rank's send pairs with which rank's
-receive -- that no single-rank AST walk can.  They only run when the
-symbolic pass is enabled (``repro lint --symbolic``).
+W007-W010 are *symbolic* rules: they run over the cross-rank schedule
+built by :mod:`repro.analyze.symbolic` and instantiated/matched by
+:mod:`repro.analyze.schedule`, so they see whole-program facts -- which
+rank's send pairs with which rank's receive -- that no single-rank AST
+walk can.  The retired codes W003-W005 are aliases of W008, W009 and
+W007 (:data:`~repro.analyze.registry.ALIASES`).
+
+Every rule runs on every lint.  The shipped trees (``examples`` and
+``src/repro``) lint clean in CI, and the deliberately-buggy fixtures
+under ``tests/analyze/fixtures`` document exactly what each rule does
+and does not flag.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Set
 
 import ast
 
@@ -28,14 +28,7 @@ from repro.analyze import schedule as _schedule
 from repro.analyze.findings import Finding
 from repro.analyze.registry import RULES, rule
 from repro.analyze.schedule import SymbolicProgram
-from repro.analyze.visitor import (
-    COLLECTIVES,
-    CommCall,
-    ProgramModel,
-    constant_int,
-    is_rank_symmetric,
-    is_wildcard,
-)
+from repro.analyze.visitor import CommCall, ProgramModel, constant_int, is_wildcard
 
 
 def _finding(
@@ -136,167 +129,6 @@ def check_leaked_handle(model: ProgramModel) -> List[Finding]:
 
 
 # ---------------------------------------------------------------------------
-# W003 -- rank-dependent collective
-# ---------------------------------------------------------------------------
-
-@rule(
-    "W003",
-    name="divergent-collective",
-    severity="error",
-    summary="collective called inside a comm.rank-conditional branch",
-)
-def check_divergent_collective(model: ProgramModel) -> List[Finding]:
-    findings = []
-    for call in model.calls:
-        if call.method not in COLLECTIVES or call.rank_cond_depth == 0:
-            continue
-        findings.append(
-            _finding(
-                "W003",
-                model,
-                call.line,
-                f"collective {call.comm_name}.{call.method}(...) inside a "
-                "comm.rank-dependent branch: ranks taking the other branch "
-                "never join, which deadlocks the collective (every rank of "
-                "the communicator must participate)",
-                col=call.col,
-            )
-        )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# W004 -- symmetric blocking-send exchange
-# ---------------------------------------------------------------------------
-
-@rule(
-    "W004",
-    name="symmetric-blocking-send",
-    severity="warning",
-    summary="unordered symmetric send/recv pair: deadlocks above the eager threshold",
-)
-def check_symmetric_blocking_send(model: ProgramModel) -> List[Finding]:
-    blocks: Dict[int, List[CommCall]] = {}
-    for call in model.calls:
-        blocks.setdefault(call.block_id, []).append(call)
-
-    findings = []
-    for block_calls in blocks.values():
-        block_calls.sort(key=lambda c: (c.block_index, c.line))
-        irecv_seen = False
-        flagged = False
-        for position, call in enumerate(block_calls):
-            if call.method == "irecv":
-                irecv_seen = True
-            if flagged or irecv_seen:
-                continue
-            if call.method != "send" or call.rank_cond_depth > 0:
-                # Sends ordered by a rank test (parity exchange) are the
-                # textbook-correct pattern.
-                continue
-            dest = call.args.get("dest")
-            if dest is None or not is_rank_symmetric(dest, model):
-                continue
-            for later in block_calls[position + 1:]:
-                source = later.args.get("source")
-                if (
-                    later.method == "recv"
-                    and source is not None
-                    and is_rank_symmetric(source, model)
-                ):
-                    findings.append(
-                        _finding(
-                            "W004",
-                            model,
-                            call.line,
-                            "every rank blocking-sends to a rank-symmetric peer "
-                            f"(line {call.line}) before receiving (line {later.line}): "
-                            "above the eager threshold all senders park in the "
-                            "rendezvous handshake and no receive is ever posted "
-                            "-- the classic Delta deadlock.  Pre-post an irecv "
-                            "or order the exchange by rank parity",
-                            col=call.col,
-                        )
-                    )
-                    flagged = True
-                    break
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# W005 -- constant tag mismatch
-# ---------------------------------------------------------------------------
-
-def _constant_tag(call: CommCall, default: Optional[int]) -> Tuple[bool, Optional[int]]:
-    """``(is_analysable, tag)``: tag value when it is a literal int (or
-    the method's default when omitted); not analysable otherwise."""
-    expr = call.args.get("tag")
-    if expr is None:
-        return True, default
-    value = constant_int(expr)
-    if value is None:
-        if is_wildcard(expr, ("ANY_TAG",)):
-            return True, -1
-        return False, None
-    return True, value
-
-
-@rule(
-    "W005",
-    name="tag-mismatch",
-    severity="error",
-    summary="constant send tag has no matching recv tag (or vice versa)",
-)
-def check_tag_mismatch(model: ProgramModel) -> List[Finding]:
-    sends: List[Tuple[CommCall, Optional[int]]] = []
-    recvs: List[Tuple[CommCall, Optional[int]]] = []
-    for call in model.calls:
-        if call.method in ("send", "isend"):
-            ok, tag = _constant_tag(call, default=0)
-            if not ok:
-                return []  # a computed tag: the pairing is not decidable
-            sends.append((call, tag))
-        elif call.method in ("recv", "irecv"):
-            ok, tag = _constant_tag(call, default=-1)
-            if not ok:
-                return []
-            recvs.append((call, tag))
-    if not sends or not recvs:
-        return []  # one-sided program fragments pair with a caller we cannot see
-
-    send_tags = {tag for _, tag in sends}
-    recv_tags = {tag for _, tag in recvs}
-    wildcard_recv = -1 in recv_tags
-
-    findings = []
-    for call, tag in sends:
-        if not wildcard_recv and tag not in recv_tags:
-            findings.append(
-                _finding(
-                    "W005",
-                    model,
-                    call.line,
-                    f"{call.method} with tag={tag} never matches: the program's "
-                    f"receives listen on tag(s) {sorted(recv_tags)} only",
-                    col=call.col,
-                )
-            )
-    for call, tag in recvs:
-        if tag != -1 and tag not in send_tags:
-            findings.append(
-                _finding(
-                    "W005",
-                    model,
-                    call.line,
-                    f"{call.method} with tag={tag} never matches: the program's "
-                    f"sends use tag(s) {sorted(send_tags)} only",
-                    col=call.col,
-                )
-            )
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # W006 -- wildcard-source race
 # ---------------------------------------------------------------------------
 
@@ -363,7 +195,7 @@ def _sym_finding(code: str, program: SymbolicProgram, line: int, message: str) -
     name="unmatched-send",
     severity="error",
     summary="cross-rank matching finds a send no receive accepts (or vice versa)",
-    symbolic=True,
+    cross_rank=True,
 )
 def check_unmatched_send(program: SymbolicProgram) -> List[Finding]:
     return [
@@ -377,7 +209,7 @@ def check_unmatched_send(program: SymbolicProgram) -> List[Finding]:
     name="collective-divergence",
     severity="error",
     summary="ranks provably issue different world-collective sequences",
-    symbolic=True,
+    cross_rank=True,
 )
 def check_collective_divergence(program: SymbolicProgram) -> List[Finding]:
     return [
@@ -391,7 +223,7 @@ def check_collective_divergence(program: SymbolicProgram) -> List[Finding]:
     name="proved-deadlock",
     severity="warning",
     summary="symbolic rendezvous replay proves a wait-for cycle (deadlock)",
-    symbolic=True,
+    cross_rank=True,
 )
 def check_proved_deadlock(program: SymbolicProgram) -> List[Finding]:
     return [
@@ -405,7 +237,7 @@ def check_proved_deadlock(program: SymbolicProgram) -> List[Finding]:
     name="mirror-pairing",
     severity="error",
     summary="neighbor exchange receive offsets are not the negated send offsets",
-    symbolic=True,
+    cross_rank=True,
 )
 def check_mirror_pairing(program: SymbolicProgram) -> List[Finding]:
     return [

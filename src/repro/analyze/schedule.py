@@ -18,8 +18,8 @@ given rank.  This module owns
     and unsatisfiable receives are both reported;
   - :func:`collective_divergence` (W008): compare the per-rank
     world-communicator collective sequences structurally, catching
-    rank-dependent trip counts and algorithm divergence that the
-    per-rank W003 branch test cannot see;
+    rank-dependent trip counts and algorithm divergence that no
+    per-rank branch test can see;
   - :func:`prove_deadlock` (W009): run the instantiated schedules
     through an abstract round-robin executor under forced rendezvous
     and report wait-for cycles that contain a blocking send -- the

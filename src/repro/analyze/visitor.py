@@ -5,25 +5,19 @@ The repo's rank programs are generator functions taking a communicator
 with ``row_comm = comm.group(...)``) and driving every communication
 coroutine with ``yield from``.  This module finds those functions and
 distils each into a :class:`ProgramModel`: the flat list of
-communication calls with the context the rules need --
+communication calls with the context the per-rank rules (W001, W002,
+W006) need --
 
 * was the call wrapped in ``yield from``;
-* how many enclosing ``if`` branches test ``comm.rank`` directly
-  (``comm.rank == 0``, ``comm.is_root()``);
-* which straight-line block the call sits in, and at which index
-  (for ordering rules like the symmetric-send check);
 * the call's arguments mapped to parameter names, and the names its
   result was bound to (for handle-leak tracking);
-* the set of *rank-derived* ("tainted") local names, computed as a
-  fixpoint over assignments whose right side mentions ``comm.rank`` or
-  an already-tainted name -- this is how ``other = 1 - comm.rank`` or
-  Cannon's ``left = rank_at(i, j - 1)`` are recognised as symmetric
-  peers.
+* which containers each name flows into (``handles.append(h)``).
 
 Scope is intentionally name-based and per-function (no inter-procedural
-analysis): the cost of a false negative is a missed warning, while the
-rules themselves are written to keep false positives near zero on the
-repo's own idioms.
+analysis).  Cross-rank facts -- which peer a rank talks to, whether the
+ranks agree on a collective sequence -- are the symbolic interpreter's
+job (:mod:`repro.analyze.symbolic`), which reuses
+:func:`iter_program_defs` and :data:`COLLECTIVES` from here.
 """
 
 from __future__ import annotations
@@ -44,6 +38,7 @@ COMM_COROUTINES = frozenset(
         "waitall",
         "waitany",
         "sendrecv",
+        "exchange",
         "compute",
         "barrier",
         "bcast",
@@ -59,7 +54,8 @@ COMM_COROUTINES = frozenset(
 )
 
 #: Collective operations: every rank of the communicator must call them
-#: the same number of times (rule W003's universe).
+#: in the same sequence (what the symbolic interpreter records as
+#: ``CollOp``).
 COLLECTIVES = frozenset(
     {
         "barrier",
@@ -104,13 +100,6 @@ class CommCall:
     args: Dict[str, ast.expr]
     #: The call was the operand of a ``yield from``.
     yielded: bool
-    #: Number of enclosing ``if`` statements whose test reads
-    #: ``comm.rank`` / ``comm.is_root()`` directly.
-    rank_cond_depth: int
-    #: Identity of the statement list containing the call's statement.
-    block_id: int
-    #: Position of the call's statement within that block.
-    block_index: int
     #: Names the call's result was assigned to (``h = yield from ...``).
     targets: Tuple[str, ...] = ()
     #: Name of the list the result was appended to, if the statement was
@@ -127,8 +116,6 @@ class ProgramModel:
     line: int
     comm_names: Set[str]
     calls: List[CommCall] = field(default_factory=list)
-    #: Local names derived (transitively) from ``comm.rank``.
-    tainted: Set[str] = field(default_factory=set)
     #: Names that appear in a ``return`` statement (handles escaping to
     #: the caller are the caller's responsibility).
     returned_names: Set[str] = field(default_factory=set)
@@ -154,25 +141,6 @@ class ProgramModel:
 
 def _names_in(node: ast.AST) -> Set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-
-def _mentions_rank(node: ast.AST, comm_names: Set[str]) -> bool:
-    """True when the expression reads ``comm.rank`` or ``comm.is_root``
-    directly (``comm`` being any known communicator name)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute) and sub.attr in ("rank", "is_root"):
-            if isinstance(sub.value, ast.Name) and sub.value.id in comm_names:
-                return True
-    return False
-
-
-def is_rank_symmetric(expr: ast.AST, model: ProgramModel) -> bool:
-    """A peer expression is *rank-symmetric* when it depends on the
-    caller's own rank -- directly (``1 - comm.rank``) or through a
-    tainted name (``other``, Cannon's ``left``/``right``)."""
-    if _mentions_rank(expr, model.comm_names):
-        return True
-    return bool(_names_in(expr) & model.tainted)
 
 
 def constant_int(expr: Optional[ast.AST]) -> Optional[int]:
@@ -287,7 +255,6 @@ class _ModelBuilder:
             line=fn.lineno,
             comm_names=_comm_params(fn),
         )
-        self._block_counter = 0
         self._yielded_calls: Set[int] = set()
 
     # -- prepasses ----------------------------------------------------------
@@ -316,33 +283,6 @@ class _ModelBuilder:
                             self.model.comm_names.add(name)
                             changed = True
 
-    def _collect_taint(self) -> None:
-        """Fixpoint: names whose defining expression mentions
-        ``comm.rank`` (or an already-tainted name) are rank-derived."""
-        model = self.model
-        changed = True
-        while changed:
-            changed = False
-            for node in ast.walk(self.fn):
-                targets: List[ast.expr] = []
-                value: Optional[ast.AST] = None
-                if isinstance(node, ast.Assign):
-                    targets, value = node.targets, node.value
-                elif isinstance(node, ast.AugAssign):
-                    targets, value = [node.target], node.value
-                elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                    targets, value = [node.target], node.value
-                if value is None:
-                    continue
-                if _mentions_rank(value, model.comm_names) or (
-                    _names_in(value) & model.tainted
-                ):
-                    for target in targets:
-                        for name in _target_names(target):
-                            if name not in model.tainted:
-                                model.tainted.add(name)
-                                changed = True
-
     def _collect_yielded(self) -> None:
         for node in ast.walk(self.fn):
             if isinstance(node, ast.YieldFrom):
@@ -357,68 +297,45 @@ class _ModelBuilder:
 
     def build(self) -> ProgramModel:
         self._collect_comm_aliases()
-        self._collect_taint()
         self._collect_yielded()
         self._collect_returns()
-        self._walk_block(self.fn.body, rank_depth=0)
+        self._walk_block(self.fn.body)
         return self.model
 
-    def _next_block_id(self) -> int:
-        self._block_counter += 1
-        return self._block_counter
+    def _walk_block(self, stmts: List[ast.stmt]) -> None:
+        for stmt in stmts:
+            self._walk_stmt(stmt)
 
-    def _is_rank_test(self, test: ast.expr) -> bool:
-        return _mentions_rank(test, self.model.comm_names)
-
-    def _walk_block(self, stmts: List[ast.stmt], rank_depth: int) -> None:
-        block_id = self._next_block_id()
-        for index, stmt in enumerate(stmts):
-            self._walk_stmt(stmt, rank_depth, block_id, index)
-
-    def _walk_stmt(
-        self, stmt: ast.stmt, rank_depth: int, block_id: int, index: int
-    ) -> None:
-        if isinstance(stmt, ast.If):
-            depth = rank_depth + (1 if self._is_rank_test(stmt.test) else 0)
-            self._scan_expr(stmt.test, rank_depth, block_id, index)
-            self._walk_block(stmt.body, depth)
-            if stmt.orelse:
-                self._walk_block(stmt.orelse, depth)
+    def _walk_stmt(self, stmt: ast.stmt) -> None:
+        if isinstance(stmt, (ast.If, ast.While)):
+            self._scan_expr(stmt.test)
+            self._walk_block(stmt.body)
+            self._walk_block(stmt.orelse)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan_expr(stmt.iter, rank_depth, block_id, index)
-            self._walk_block(stmt.body, rank_depth)
-            if stmt.orelse:
-                self._walk_block(stmt.orelse, rank_depth)
-        elif isinstance(stmt, ast.While):
-            self._scan_expr(stmt.test, rank_depth, block_id, index)
-            self._walk_block(stmt.body, rank_depth)
-            if stmt.orelse:
-                self._walk_block(stmt.orelse, rank_depth)
+            self._scan_expr(stmt.iter)
+            self._walk_block(stmt.body)
+            self._walk_block(stmt.orelse)
         elif isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                self._scan_expr(item.context_expr, rank_depth, block_id, index)
-            self._walk_block(stmt.body, rank_depth)
+                self._scan_expr(item.context_expr)
+            self._walk_block(stmt.body)
         elif isinstance(stmt, ast.Try):
-            self._walk_block(stmt.body, rank_depth)
+            self._walk_block(stmt.body)
             for handler in stmt.handlers:
-                self._walk_block(handler.body, rank_depth)
-            if stmt.orelse:
-                self._walk_block(stmt.orelse, rank_depth)
-            if stmt.finalbody:
-                self._walk_block(stmt.finalbody, rank_depth)
+                self._walk_block(handler.body)
+            self._walk_block(stmt.orelse)
+            self._walk_block(stmt.finalbody)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # A nested def with its own communicator parameter is a rank
             # program in its own right and is analysed separately; other
             # nested defs (closures over ``comm``) are folded into this
-            # program with a fresh rank-conditional context.
+            # program.
             if not _comm_params(stmt):
-                self._walk_block(stmt.body, 0)
+                self._walk_block(stmt.body)
         else:
-            self._scan_simple_stmt(stmt, rank_depth, block_id, index)
+            self._scan_simple_stmt(stmt)
 
-    def _scan_simple_stmt(
-        self, stmt: ast.stmt, rank_depth: int, block_id: int, index: int
-    ) -> None:
+    def _scan_simple_stmt(self, stmt: ast.stmt) -> None:
         targets: Tuple[str, ...] = ()
         appended_to: Optional[str] = None
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -438,16 +355,11 @@ class _ModelBuilder:
                 for arg in call.args:
                     for name in _names_in(arg):
                         self.model.flows.setdefault(name, set()).add(appended_to)
-        self._scan_expr(
-            stmt, rank_depth, block_id, index, targets=targets, appended_to=appended_to
-        )
+        self._scan_expr(stmt, targets=targets, appended_to=appended_to)
 
     def _scan_expr(
         self,
         node: ast.AST,
-        rank_depth: int,
-        block_id: int,
-        index: int,
         targets: Tuple[str, ...] = (),
         appended_to: Optional[str] = None,
     ) -> None:
@@ -470,15 +382,12 @@ class _ModelBuilder:
                     comm_name=comm_name,
                     args=_map_args(method, sub),
                     yielded=id(sub) in self._yielded_calls,
-                    rank_cond_depth=rank_depth,
-                    block_id=block_id,
-                    block_index=index,
                     targets=targets,
                     appended_to=appended_to,
                 )
             )
 
 
-def build_models(tree: ast.AST, filename: str) -> List[ProgramModel]:
-    """One :class:`ProgramModel` per rank program found in ``tree``."""
-    return [_ModelBuilder(fn, filename).build() for fn in iter_program_defs(tree)]
+def build_model(fn: ast.FunctionDef, filename: str) -> ProgramModel:
+    """The :class:`ProgramModel` of one rank-program definition."""
+    return _ModelBuilder(fn, filename).build()

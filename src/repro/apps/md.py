@@ -222,7 +222,7 @@ def md_program(comm, particles0: Particles, config: MDConfig, steps: int) -> Gen
             out_right[:, 0] -= config.box
         with comm.phase("ghosts"):
             # Pre-post both receives before sending: symmetric blocking
-            # sends deadlock above the eager threshold (W004/W009).
+            # sends deadlock above the eager threshold (W009).
             r_right = yield from comm.irecv(source=right, tag=tag0)
             r_left = yield from comm.irecv(source=left, tag=tag0 + 1)
             yield from comm.send(out_left, left, tag=tag0)

@@ -148,7 +148,7 @@ def _ring_accelerations(comm, pos_local, mass_local, softening) -> Generator:
     for step in range(p - 1):
         with comm.phase("ring-shift"):
             # Pre-post the receive: every rank blocking-sending around
-            # the ring deadlocks above the eager threshold (W004/W009).
+            # the ring deadlocks above the eager threshold (W009).
             handle = yield from comm.irecv(source=left, tag=step)
             yield from comm.send(visiting, right, tag=step)
             msg = yield from comm.wait(handle)

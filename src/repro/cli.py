@@ -312,19 +312,19 @@ def _cmd_lint(args):
         format_findings,
         format_findings_json,
     )
+    from repro.analyze.registry import ALIASES
 
     if args.list_rules:
         return "\n".join(
-            f"{r.code} {r.name} ({r.severity}): {r.summary}"
-            + (" [symbolic]" if r.symbolic else "")
-            for r in RULES.values()
+            [f"{r.code} {r.name} ({r.severity}): {r.summary}"
+             + (" [symbolic]" if r.cross_rank else "")
+             for r in RULES.values()]
+            + [f"{alias} alias of {target} ({RULES[target].name})"
+               for alias, target in ALIASES.items()]
         )
     if not args.paths:
         raise ReproError("lint: no paths given (or use --list-rules)")
-    findings = analyze_paths(
-        args.paths, select=args.select,
-        symbolic=args.symbolic, n_ranks=args.ranks,
-    )
+    findings = analyze_paths(args.paths, select=args.select, n_ranks=args.ranks)
     if args.json:
         return format_findings_json(findings), (1 if findings else 0)
     return format_findings(findings), (1 if findings else 0)
@@ -456,19 +456,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.add_argument(
         "--select", default=None, metavar="CODES",
-        help="comma-separated rule codes to run (default: all), e.g. W001,W004",
+        help="comma-separated rule codes to run (default: all), e.g. W001,W009",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
         help="list the registered rules and exit",
     )
     lint.add_argument(
-        "--symbolic", action="store_true",
-        help="also run the cross-rank symbolic rules (W007-W010)",
-    )
-    lint.add_argument(
         "--ranks", type=int, default=8, metavar="N",
-        help="world size the symbolic pass instantiates (default 8)",
+        help="world size the cross-rank rules instantiate (default 8)",
     )
     lint.add_argument(
         "--json", action="store_true",

@@ -81,7 +81,7 @@ def cannon_program(comm, q: int, a_full: np.ndarray, b_full: np.ndarray) -> Gene
             # Shift A left, B up.  Pre-posting the irecvs keeps the
             # symmetric exchange deadlock-free above the eager
             # threshold (every rank sends before anyone receives
-            # otherwise -- analyzer rule W004).
+            # otherwise -- analyzer rule W009).
             with comm.phase("shift"):
                 ha = yield from comm.irecv(source=right, tag=2 * step)
                 hb = yield from comm.irecv(source=down, tag=2 * step + 1)

@@ -9,7 +9,7 @@ blocking rendezvous send).  The graph then answers the question the old
 flat listing could not: *which ranks form the deadlocked cycle?*
 
 ``rank 0 -> rank 1 -> rank 0`` is the signature of the symmetric
-blocking-send bug (analyzer rule W004); an edge into a failed rank with
+blocking-send bug (analyzer rule W009); an edge into a failed rank with
 no cycle is a survivor waiting on a dead peer (fault injection).  The
 engine attaches the graph to :class:`~repro.util.errors.DeadlockError`
 as ``wait_for``/``cycle``/``failed_ranks`` and embeds

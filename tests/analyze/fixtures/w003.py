@@ -1,4 +1,4 @@
-"""Fixture: W003 divergent-collective -- a collective inside a
+"""Fixture: W003 (alias of W008) -- a collective inside a
 ``comm.rank``-conditional branch deadlocks the ranks that skip it."""
 
 

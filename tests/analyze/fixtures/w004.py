@@ -1,4 +1,4 @@
-"""Fixture: W004 symmetric-blocking-send -- every rank sends to a
+"""Fixture: W004 (alias of W009) -- every rank sends to a
 rank-symmetric peer before receiving, so above the eager threshold all
 ranks park in the rendezvous handshake (the classic Delta deadlock)."""
 

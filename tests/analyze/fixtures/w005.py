@@ -1,5 +1,5 @@
-"""Fixture: W005 tag-mismatch -- a constant send tag no receive listens
-on (or a recv tag no send uses) can never match."""
+"""Fixture: W005 (alias of W007) -- a send tag no receive listens on
+(or a recv tag no send uses) can never match."""
 
 
 def bad_tag_mismatch(comm, payload):

@@ -1,8 +1,8 @@
 """Fixture: W007 unmatched-send -- cross-rank matching.  Every rank
 tags its message with its *own* rank but listens for its own rank too,
 so the inbound message (tagged with the sender's rank) never matches
-any posted receive.  Tags are computed, so the per-rank constant-tag
-rule W005 cannot see the mismatch; only whole-program instantiation
+any posted receive.  Tags are computed, so no per-rank constant-tag
+check could see the mismatch; only whole-program instantiation
 does.  Payloads are ``None`` (always eager), so the schedule completes
 in the abstract executor and W009 stays silent."""
 

@@ -1,6 +1,6 @@
 """Fixture: W008 collective-divergence -- cross-rank sequence
 comparison.  Neither bad program branches on the rank around a
-collective call (which W003 would catch per-rank): one diverges through
+collective call (the plain case, in ``w003.py``): one diverges through
 a rank-dependent *trip count*, the other through a rank-dependent
 *algorithm* argument.  Both need the instantiated whole-program
 collective sequences side by side to detect."""

@@ -1,6 +1,6 @@
 """Fixture: W009 proved-deadlock -- symbolic rendezvous replay.  The
-bad program pairs ranks by XOR and splits on parity, so W004's
-syntactic symmetric-send rule skips it (sends under a rank conditional
+bad program pairs ranks by XOR and splits on parity, so a syntactic
+symmetric-send check skips it (sends under a rank conditional
 look like the ordered-parity idiom) -- but *both* arms send before
 receiving, so every rank parks in the rendezvous handshake.  Only
 replaying the instantiated schedules proves the wait-for cycle.  The

@@ -2,8 +2,8 @@
 arrives from offset ``-o``, so a straight-line neighbor exchange must
 receive from the negated send offsets.  The bad program sends right and
 listens right; its messages pile up from the left, unreceived.  Sends
-use ``None`` payloads (eager) behind a pre-posted irecv so W004 and
-W009 stay out of the way; W007 also fires here, which is expected --
+use ``None`` payloads (eager) behind a pre-posted irecv so W009
+stays out of the way; W007 also fires here, which is expected --
 the unmatched traffic is the *consequence*, the wrong direction is the
 *cause*."""
 

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.analyze import (
+    RULES,
     AnalysisError,
     Finding,
     analyze_file,
@@ -15,6 +16,7 @@ from repro.analyze import (
     sort_findings,
     summarize,
 )
+from repro.analyze.registry import validate_codes
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -51,12 +53,14 @@ class TestAnalyzeProgram:
 
 
 class TestSelectAndSuppress:
+    # The self-message is matched on every rank, so only the per-rank
+    # rules fire.
     SRC = (
         "def prog(comm):\n"
         "    comm.barrier()\n"
-        "    h = yield from comm.irecv(source=0, tag=1)\n"
-        "    msg = yield from comm.recv(source=0, tag=1)\n"
-        "    return msg\n"
+        "    h = yield from comm.irecv(source=comm.rank, tag=1)\n"
+        "    yield from comm.send(1, comm.rank, tag=1)\n"
+        "    return None\n"
     )
 
     def test_select_restricts_rules(self):
@@ -100,17 +104,16 @@ class TestFilesAndPaths:
         findings = analyze_paths([FIXTURES])
         files = [f.file for f in findings]
         assert files == sorted(files)
-        # The per-rank rules; W007-W010 need the symbolic pass.
-        assert {f.rule for f in findings} == {
-            "W001", "W002", "W003", "W004", "W005", "W006"
-        }
 
     def test_symbolic_walk_covers_all_rules(self):
-        findings = analyze_paths([FIXTURES], symbolic=True)
-        assert {f.rule for f in findings} == {
-            "W001", "W002", "W003", "W004", "W005",
-            "W006", "W007", "W008", "W009", "W010",
-        }
+        """One pass reports every rule; the alias codes never appear."""
+        findings = analyze_paths([FIXTURES])
+        assert {f.rule for f in findings} == set(RULES)
+
+    @pytest.mark.parametrize("n_ranks", [0, -2])
+    def test_non_positive_world_size_rejected(self, n_ranks):
+        with pytest.raises(AnalysisError, match=f"got {n_ranks}$"):
+            analyze_file(os.path.join(FIXTURES, "w001.py"), n_ranks=n_ranks)
 
     def test_missing_path_raises(self):
         with pytest.raises(AnalysisError, match="no such file"):
@@ -165,5 +168,29 @@ class TestCleanTrees:
         "tree", ["examples", "src/repro/linalg", "src/repro/apps"]
     )
     def test_shipped_programs_are_clean_symbolically(self, tree):
+        """The cross-rank verdicts hold at another world size too."""
         root = os.path.join(os.path.dirname(__file__), "..", "..", tree)
-        assert analyze_paths([os.path.normpath(root)], symbolic=True) == []
+        assert analyze_paths([os.path.normpath(root)], n_ranks=16) == []
+
+
+class TestAliases:
+    """W003/W004/W005 select, disable and validate as W008/W009/W007."""
+
+    DIVERGENT = (
+        "def prog(comm):\n"
+        "    if comm.rank == 0:\n"
+        "        yield from comm.barrier()\n"
+    )
+
+    def test_disable_alias_suppresses_target(self):
+        findings = analyze_source(self.DIVERGENT)
+        assert [(f.rule, f.line) for f in findings] == [("W008", 3)]
+        src = self.DIVERGENT.replace(
+            "comm.barrier()", "comm.barrier()  # repro: disable=W003"
+        )
+        assert analyze_source(src) == []
+
+    def test_validate_codes_accepts_alias(self):
+        assert validate_codes(["W005"]) == {"W007"}
+        with pytest.raises(AnalysisError, match="W999"):
+            validate_codes(["W005", "W999"])

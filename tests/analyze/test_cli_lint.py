@@ -25,7 +25,7 @@ class TestLintCommand:
     def test_findings_exit_nonzero(self, run_cli):
         code, out, _ = run_cli(["lint", FIXTURES])
         assert code == 1
-        for rule in ("W001", "W002", "W003", "W004", "W005", "W006"):
+        for rule in ("W001", "W002", "W006", "W007", "W008", "W009", "W010"):
             assert rule in out
         assert "findings" in out  # summary line
 
@@ -41,9 +41,10 @@ class TestLintCommand:
         assert "no issues found" in out
 
     def test_select_limits_rules(self, run_cli):
+        """Selecting the alias W004 runs, and reports, W009."""
         code, out, _ = run_cli(["lint", "--select", "W004", FIXTURES])
         assert code == 1
-        assert "W004" in out and "W001" not in out
+        assert "W009" in out and "W004" not in out and "W001" not in out
 
     def test_unknown_rule_is_an_error(self, run_cli):
         code, _, err = run_cli(["lint", "--select", "W042", FIXTURES])
@@ -65,6 +66,16 @@ class TestLintCommand:
         assert code == 0
         assert "W001 dropped-coroutine (error)" in out
         assert "W006 wildcard-race (warning)" in out
+        assert "W003 alias of W008 (collective-divergence)" in out
+        assert "W004 alias of W009 (proved-deadlock)" in out
+        assert "W005 alias of W007 (unmatched-send)" in out
+
+    @pytest.mark.parametrize("ranks", ["0", "-2"])
+    def test_non_positive_world_size_is_an_error(self, run_cli, ranks):
+        code, out, err = run_cli(["lint", "--ranks", ranks, FIXTURES])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: world size must be at least 1 rank, got {ranks}\n"
 
 
 class TestCIGate:
@@ -81,11 +92,9 @@ class TestCIGate:
         assert "no issues found" in out
 
     def test_shipped_trees_symbolic_exit_zero(self, run_cli):
+        """The CI step: the examples and the whole package."""
         code, out, _ = run_cli(
-            ["lint", "--symbolic",
-             os.path.join(REPO, "examples"),
-             os.path.join(REPO, "src", "repro", "linalg"),
-             os.path.join(REPO, "src", "repro", "apps")]
+            ["lint", os.path.join(REPO, "examples"), os.path.join(REPO, "src", "repro")]
         )
         assert code == 0
         assert "no issues found" in out
@@ -127,12 +136,21 @@ class TestLintJson:
 
     def test_json_symbolic_includes_cross_rank_rules(self, run_cli):
         code, out, _ = run_cli(
-            ["lint", "--json", "--symbolic", "--select", "W009",
+            ["lint", "--json", "--select", "W009",
              os.path.join(FIXTURES, "w009.py")]
         )
         assert code == 1
         records = [json.loads(line) for line in out.splitlines() if line]
         assert {r["rule"] for r in records} == {"W009"}
+
+    def test_json_reports_alias_target_code(self, run_cli):
+        code, out, _ = run_cli(
+            ["lint", "--json", "--ranks", "2", "--select", "W005",
+             os.path.join(FIXTURES, "w005.py")]
+        )
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines() if line]
+        assert {r["rule"] for r in records} == {"W007"}
 
     def test_list_rules_marks_symbolic(self, run_cli):
         code, out, _ = run_cli(["lint", "--list-rules"])

@@ -1,9 +1,11 @@
-"""Static hazard -> dynamic proof: confirm_deadlock reproduces W004.
+"""Static proof -> dynamic proof: confirm_deadlock reproduces W009.
 
-The linter flags the symmetric-exchange *pattern*; ``confirm_deadlock``
-runs the program under forced rendezvous (eager threshold zero) and
-hands back the engine's DeadlockError -- wait-for cycle included -- or
-``None`` for the safe variants.
+The programs are two-rank exchanges (``1 - comm.rank``), so the linter
+runs at ``n_ranks=2``.  Its symbolic replay proves the symmetric
+exchange deadlocks; ``confirm_deadlock`` runs the program under forced
+rendezvous (eager threshold zero) and hands back the engine's
+DeadlockError -- wait-for cycle included -- or ``None`` for the safe
+variants.
 """
 
 from repro.analyze import analyze_program, confirm_deadlock
@@ -37,17 +39,18 @@ def preposted_exchange(comm):
 
 class TestConfirmDeadlock:
     def test_flagged_program_actually_deadlocks(self):
-        assert [f.rule for f in analyze_program(symmetric_exchange)] == ["W004"]
+        findings = analyze_program(symmetric_exchange, n_ranks=2)
+        assert [f.rule for f in findings] == ["W009"]
         err = confirm_deadlock(symmetric_exchange, n_ranks=2)
         assert err is not None
         assert err.cycle == [0, 1, 0]
 
     def test_parity_fix_survives_forced_rendezvous(self):
-        assert analyze_program(parity_ordered_exchange) == []
+        assert analyze_program(parity_ordered_exchange, n_ranks=2) == []
         assert confirm_deadlock(parity_ordered_exchange, n_ranks=2) is None
 
     def test_prepost_fix_survives_forced_rendezvous(self):
-        assert analyze_program(preposted_exchange) == []
+        assert analyze_program(preposted_exchange, n_ranks=2) == []
         assert confirm_deadlock(preposted_exchange, n_ranks=2) is None
 
     def test_cannon_shift_survives_forced_rendezvous(self):

@@ -42,8 +42,7 @@ def load_fixture_module(name):
 
 
 def symbolic_findings(name, code, n_ranks=8):
-    return analyze_file(fixture(name), select=code, symbolic=True,
-                        n_ranks=n_ranks)
+    return analyze_file(fixture(name), select=code, n_ranks=n_ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +205,7 @@ class TestW007:
             "def p(comm):\n"
             "    yield from comm.send(None, comm.size, tag=0)\n"
             "    msg = yield from comm.recv(source=0, tag=0)\n",
-            select="W007", symbolic=True, n_ranks=4,
+            select="W007", n_ranks=4,
         )
         assert any("outside" in f.message for f in findings)
 
@@ -246,9 +245,12 @@ class TestW009:
 
     def test_w004_cannot_see_it_but_w009_can(self):
         # The buggy program hides the symmetric sends inside a parity
-        # conditional, which the syntactic W004 deliberately skips.
-        assert symbolic_findings("w009.py", "W004") == []
+        # conditional, which a syntactic symmetric-send check skips;
+        # W004 is W009's alias, so selecting it runs the replay.
         assert symbolic_findings("w009.py", "W009") != []
+        assert symbolic_findings("w009.py", "W004") == symbolic_findings(
+            "w009.py", "W009"
+        )
 
     def test_static_verdicts_agree_with_dynamic_replay(self):
         """Every program in the fixture: W009 fires iff the dynamic
@@ -311,9 +313,7 @@ class TestSuppressionAndSelection:
     )
 
     def test_symbolic_findings_report_rule_and_column(self):
-        findings = analyze_source(
-            self.DEADLOCK_SRC, select="W009", symbolic=True, n_ranks=2
-        )
+        findings = analyze_source(self.DEADLOCK_SRC, select="W009", n_ranks=2)
         assert [f.rule for f in findings] == ["W009"]
         assert findings[0].line == 3
 
@@ -323,18 +323,20 @@ class TestSuppressionAndSelection:
             "yield from comm.send(payload, other, tag=0)"
             "  # repro: disable=W004,W009",
         )
-        findings = analyze_source(src, symbolic=True, n_ranks=2)
+        findings = analyze_source(src, n_ranks=2)
         assert not any(f.rule in ("W004", "W009") for f in findings)
 
     def test_single_code_of_pair_still_fires(self):
+        """W004 is W009's alias, so disabling either code silences the
+        proved deadlock."""
         src = self.DEADLOCK_SRC.replace(
             "yield from comm.send(payload, other, tag=0)",
             "yield from comm.send(payload, other, tag=0)"
             "  # repro: disable=W004",
         )
-        findings = analyze_source(src, symbolic=True, n_ranks=2)
-        assert not any(f.rule == "W004" for f in findings)
-        assert any(f.rule == "W009" for f in findings)
+        assert analyze_source(self.DEADLOCK_SRC, select="W009", n_ranks=2)
+        findings = analyze_source(src, n_ranks=2)
+        assert not any(f.rule in ("W004", "W009") for f in findings)
 
     def test_validate_codes_accepts_known(self):
         assert validate_codes(["W001", "W009"]) == {"W001", "W009"}
@@ -348,5 +350,6 @@ class TestSuppressionAndSelection:
             validate_codes(["nope"])
 
     def test_symbolic_rules_silent_without_symbolic_flag(self):
+        """The cross-rank rules run on every call."""
         findings = analyze_source(self.DEADLOCK_SRC)
-        assert not any(f.rule == "W009" for f in findings)
+        assert [f.rule for f in findings] == ["W009"]
