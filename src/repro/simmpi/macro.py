@@ -54,11 +54,18 @@ from it, so adding a closed-form collective is one table entry.
 Round-phased evaluators price the plan's rounds with
 :meth:`_Sched.send_round` / :meth:`_Sched.recv_round`; ring and flat
 bcast are chains (each hop waits on the one before it) and go message
-by message through :meth:`_Sched.send` / :meth:`_Sched.recv`.  Cyclic
-patterns (dissemination, butterfly, shifts, exchanges) are evaluated
-only when every message is eager; a rendezvous message there means the
-event path's behaviour (including its deadlock) must be reproduced for
-real, so we bail.
+by message through :meth:`_Sched.send` / :meth:`_Sched.recv`.  A round
+is priced one of two ways, picked per invocation from the plan's widest
+round: below :data:`VECTOR_WIDTH` pairs (every chain, and an lu2d
+panel broadcast's rounds of 1, 2 and 4) pair by pair through those same
+scalar primitives on list columns, where NumPy's fixed cost per call
+would dominate; from it up in a handful of array operations per round.
+Cyclic patterns (dissemination, butterfly, shifts, exchanges) are
+evaluated only when every message is eager; a rendezvous message there
+means the event path's behaviour (including its deadlock) must be
+reproduced for real, so we bail -- before pricing that round, which is
+what lets the pair loop and the vectorised round agree (see
+:class:`_Sched`).
 
 Plans and clock arithmetic
 --------------------------
@@ -73,7 +80,9 @@ run and keeps it in ``run._plans``, so a repeated invocation (lu2d's
 panel broadcasts repeat 94 % of the time, a halo epoch's exchanges
 every step) evaluates only the expressions that read clocks.  The
 table is bounded by :data:`PLAN_CAP_PAIRS` and is cleared when an
-insertion would exceed it.
+insertion would exceed it.  A plan also records its widest round,
+which picks :class:`_Sched`'s storage form; it holds no list columns,
+so it stays ~32 bytes a pair whatever that form.
 
 The FIFO clamp's "can any recorded arrival exceed this round's?" test
 reads ``run._last_hi``, a monotone upper bound on every value in
@@ -100,6 +109,16 @@ from repro.simmpi.requests import CollectiveReq, copy_payload, payload_nbytes
 #: would otherwise grow the table as p**2 pairs.
 PLAN_CAP_PAIRS = 1 << 21
 
+#: Pairs in a plan's widest round from which :class:`_Sched` prices on
+#: NumPy columns; narrower plans price pair by pair on lists.  A
+#: vectorised round costs ~20 us of NumPy call overhead whatever its
+#: width, the pair loop ~1.7 us a pair, so the crossover is a round
+#: width, not a member count: dissemination barriers and exchanges
+#: (rounds as wide as the group) break even at 12-14 members, while a
+#: 32-member tree bcast (widest round 16) is still cheaper on lists.
+#: Chains have no rounds (width 0), so they always take the lists.
+VECTOR_WIDTH = 12
+
 
 class _Bail(Exception):
     """The schedule is not analytically exact here (rendezvous inside a
@@ -125,12 +144,13 @@ class _Plan:
     closed form).  Each entry of ``rounds`` is one send round ``(srcs,
     dsts, keys, fixed)``: group-rank columns, the interned FIFO keys
     ``src * n + dst`` (int64), and the fixed wire cost ``alpha + hops *
-    tau`` per pair.  Everything here is a pure function of the run's
+    tau`` per pair; ``width`` is the most pairs in any one round (0 for
+    a chain).  Everything here is a pure function of the run's
     topology, rank map, link and size, all fixed for the run.
     """
 
     __slots__ = ("members", "idx", "nodes", "topo", "latency", "per_hop",
-                 "n", "form", "rounds", "size")
+                 "n", "form", "rounds", "size", "width")
 
     def __init__(self, run: Any, members: Sequence[int],
                  form: Optional[ClosedForm]):
@@ -147,6 +167,7 @@ class _Plan:
         self.form = form
         self.rounds: List[tuple] = []
         self.size = p  # pair entries held, for the table bound
+        self.width = 0
 
     def round(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple:
         """The static columns of one send round from group ranks
@@ -271,6 +292,7 @@ def plan(
         for srcs, dsts in form.rounds(len(made.members), root, algorithm):
             made.rounds.append(made.round(srcs, dsts))
             made.size += len(srcs)
+            made.width = max(made.width, len(srcs))
     size = made.size
     if size <= PLAN_CAP_PAIRS:
         if run._plan_pairs + size > PLAN_CAP_PAIRS:
@@ -287,12 +309,30 @@ class _Sched:
     Clocks and stats are local absolute copies; ``overlay`` shadows the
     run's per-pair FIFO clamp table.  Nothing escapes until
     :meth:`commit`.
+
+    The copies come in one of two storage forms, picked here from the
+    plan's widest round.  A plan narrower than :data:`VECTOR_WIDTH`
+    (every chain, and trees, folds and shifts over small groups) keeps
+    them as Python lists, and :meth:`send_round` / :meth:`recv_round`
+    price its rounds pair by pair through the scalar :meth:`send` /
+    :meth:`recv`.  A wider plan keeps NumPy columns and prices each
+    round in a handful of array operations.  Both forms evaluate the
+    same float expressions per pair.
+
+    They differ in when a round reads its clocks: the pair loop reads
+    ``clock[gd]`` for a rendezvous handshake after the round's earlier
+    pairs have moved their sources' clocks, the vectorised round reads
+    every clock first.  The two agree because every round that can
+    price a rendezvous size has disjoint sources and destinations: tree
+    fan-out and fan-in, and recursive doubling's fold and hand-back.
+    The cyclic evaluators (dissemination, butterfly, shifts, exchange)
+    bail on a rendezvous-sized round before pricing any pair of it.
     """
 
     __slots__ = (
         "run", "plan", "members", "p", "clock", "comm_t", "sent_n",
         "sent_b", "recv_n", "recv_b", "eager_max", "ab", "n", "overlay",
-        "last", "oh_memo", "latency", "bw", "fifo_cap",
+        "last", "oh_memo", "latency", "bw", "fifo_cap", "narrow",
     )
 
     def __init__(self, run: Any, plan: _Plan, clocks: Sequence[float]):
@@ -300,19 +340,22 @@ class _Sched:
         self.plan = plan
         self.members = plan.members
         self.p = len(plan.members)
-        # Numpy storage: scalar helpers index element-wise (identical
-        # IEEE arithmetic to plain floats), vector helpers price a
-        # whole permutation round in a handful of array ops.
-        self.clock = np.array(clocks, dtype=np.float64)
         # Columnar gather: one fancy-index copy per stats column out of
         # the run's MachineState.
         idx = plan.idx
         ms = run.ms
-        self.comm_t = ms.comm_time[idx]
-        self.sent_n = ms.messages_sent[idx]
-        self.sent_b = ms.bytes_sent[idx]
-        self.recv_n = ms.messages_received[idx]
-        self.recv_b = ms.bytes_received[idx]
+        columns = (ms.comm_time[idx], ms.messages_sent[idx], ms.bytes_sent[idx],
+                   ms.messages_received[idx], ms.bytes_received[idx])
+        self.narrow = plan.width < VECTOR_WIDTH
+        if self.narrow:
+            # Lists: element access on them costs a fraction of a numpy
+            # scalar's, with the same IEEE arithmetic.
+            self.clock = (clocks.tolist() if type(clocks) is np.ndarray
+                          else list(clocks))
+            columns = [col.tolist() for col in columns]
+        else:
+            self.clock = np.array(clocks, dtype=np.float64)
+        self.comm_t, self.sent_n, self.sent_b, self.recv_n, self.recv_b = columns
         self.eager_max = run._eager_max
         ab = run.delivery
         self.ab = ab
@@ -335,8 +378,8 @@ class _Sched:
         """One send issued at ``gs``'s current clock toward ``gd``.
 
         Valid only where ``gd``'s matching receive is posted at ``gd``'s
-        *current* local clock (true for the chains that use it: the
-        receiver's recv is its next pending op).  Returns the message's
+        *current* local clock (true for the chains and for a round's
+        pairs: the receiver's recv is its next pending op).  Returns the message's
         arrival time at the destination.
         """
         clock = self.clock
@@ -393,21 +436,25 @@ class _Sched:
         clock[gd] = completion
         return completion
 
-    # -- vectorised round primitives ----------------------------------------
+    # -- round primitives ---------------------------------------------------
 
-    def send_round(self, rnd: tuple, nbytes) -> "np.ndarray":
-        """Vectorised :meth:`send` for one permutation round.
+    def send_round(self, rnd: tuple, nbytes) -> Sequence[float]:
+        """:meth:`send` for one permutation round; returns the arrival
+        per pair (a list on the narrow form, else an array).
 
         ``rnd`` is a non-empty :meth:`_Plan.round`: every listed source
         issues one send; (src, dst) pairs are distinct, no pair is a
         self-send, and each destination's matching receive is posted at
         its current clock (the acyclic / round-phased precondition of
         :meth:`send`).  ``nbytes`` is a scalar or per-pair array.
-        Element for element the float expressions match :meth:`send`
-        exactly; callers inside cyclic schedules must reject rendezvous
-        sizes *before* calling.
+        Element for element the vectorised float expressions match
+        :meth:`send` exactly; callers inside cyclic schedules must
+        reject rendezvous sizes *before* calling.
         """
         srcs, dsts, keys, fixed = rnd
+        if self.narrow:
+            sizes = nbytes.tolist() if type(nbytes) is np.ndarray else repeat(nbytes)
+            return list(map(self.send, srcs.tolist(), dsts.tolist(), sizes))
         clock = self.clock
         now = clock[srcs]
         # Rendezvous handshake: start no earlier than the posted receive.
@@ -468,7 +515,12 @@ class _Sched:
         return arrivals
 
     def recv_round(self, dsts, arrivals, nbytes) -> None:
-        """Vectorised :meth:`recv` over distinct destinations."""
+        """:meth:`recv` over distinct destinations."""
+        if self.narrow:
+            sizes = nbytes.tolist() if type(nbytes) is np.ndarray else repeat(nbytes)
+            for args in zip(dsts.tolist(), arrivals, sizes):
+                self.recv(*args)
+            return
         clock = self.clock
         blocked = clock[dsts]
         completion = np.maximum(arrivals, blocked)
@@ -486,7 +538,7 @@ class _Sched:
         # The caller's resume times must be plain Python floats (no
         # numpy scalars in the event loop's heap tuples); the committed
         # columns hold the same float64 bits either way.
-        clock = self.clock.tolist()
+        clock = self.clock if self.narrow else self.clock.tolist()
         # One fancy-index assignment per column writes the whole group
         # back to the MachineState.
         ms = self.run.ms

@@ -17,6 +17,11 @@ The cases span the protocol (eager / rendezvous), delivery (alpha-beta
 freezes one of four ranks, and toy-machine deaths (two deaths, a t=0
 death, a traced rendezvous death, a survivor that needs a dead peer).
 
+The cases the macro layer can price (untraced alpha-beta runs with
+macro-ops on) run a second time with ``macro.VECTOR_WIDTH`` patched to
+0: their small groups otherwise price pair by pair on list columns,
+and the patch sends every plan through the NumPy rounds instead.
+
 A mismatch prints the observed record; a deliberate semantic change
 updates the JSON by hand from that output.
 """
@@ -34,6 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.simmpi.macro as macro
 from repro.linalg.blocklu import make_test_matrix
 from repro.linalg.decomp import ProcessGrid2D
 from repro.linalg.lu2d import lu2d_program
@@ -233,4 +239,14 @@ def check(name: str) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(name):
+    check(name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(n for n in CASES
+           if "/alphabeta/" in n and "trace1" not in n and "macro0" not in n),
+)
+def test_golden_case_on_arrays(name, monkeypatch):
+    monkeypatch.setattr(macro, "VECTOR_WIDTH", 0)
     check(name)

@@ -106,6 +106,19 @@ def test_bcast_algorithms_bit_identical(algorithm, eager):
     assert macro.events < ref.events
 
 
+@pytest.mark.parametrize("algorithm", ["ring", "flat"])
+@pytest.mark.parametrize("eager", [EAGER, RENDEZVOUS])
+def test_chain_bcasts_bit_identical_at_256_ranks(algorithm, eager):
+    """Chains have no rounds, so they price on list columns at every
+    size; 256 ranks on a 16x16 Paragon spans many hop distances."""
+    program = _bcast_program_factory(algorithm)
+    machine = intel_paragon(16, 16)
+    ref = _run(program, 256, False, machine=machine, eager=eager)
+    macro = _run(program, 256, True, machine=machine, eager=eager)
+    _assert_identical(macro, ref)
+    assert macro.events < ref.events
+
+
 @pytest.mark.parametrize("p", [4, 32, 37])
 def test_cyclic_collectives_bit_identical_when_eager(p):
     ref = _run(_cyclic_program, p, False)

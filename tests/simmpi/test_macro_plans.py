@@ -6,13 +6,17 @@ whatever mix of traffic wrote them.  The plan table is bounded by
 ``macro.PLAN_CAP_PAIRS``: a rotating-root world broadcast builds a new
 plan per root, and the table must clear instead of growing past the
 cap, without changing a result.  Stencil exchanges keep their rounds
-in the same table, one plan per declared spec.
+in the same table, one plan per declared spec.  A plan narrower than
+``macro.VECTOR_WIDTH`` prices on list columns, a wider one on NumPy
+arrays, and either way the finish times handed back to the event loop
+are plain floats.
 """
 
 import numpy as np
 import pytest
 
 import repro.simmpi.macro as macro
+from repro.analyze.certify import certify_macro
 from repro.machine.presets import touchstone_delta
 from repro.simmpi import Engine, grid_halo
 
@@ -154,3 +158,49 @@ def test_exchange_plans_stay_under_the_cap(monkeypatch, cap):
     assert len(held) == 6
     assert max(held) == (1 if cap == 100 else 0)
     _assert_identical(res, _run(_two_phase_halo, 16, False))
+
+
+def _narrow_and_wide(comm):
+    """Tree bcast and RD allreduce over groups of 8 (widest rounds of 4
+    and 8 pairs), then world tree bcast, barrier and flat bcast over 32
+    (16, 32 and 0 pairs)."""
+    sub = comm.group([r for r in range(comm.size) if r // 8 == comm.rank // 8])
+    v = yield from sub.bcast(float(comm.rank), root=comm.rank // 8)
+    v = yield from sub.allreduce(v, algorithm="recursive_doubling")
+    v = yield from comm.bcast(v, root=5)
+    yield from comm.barrier()
+    return (yield from comm.bcast(v, root=1, algorithm="flat"))
+
+
+def _world_bcast_barrier(comm):
+    v = yield from comm.bcast(2.5, root=0)
+    yield from comm.barrier()
+    return v
+
+
+def test_narrow_plans_price_on_lists_and_wide_on_arrays(monkeypatch):
+    seen = []
+    commit = macro._Sched.commit
+
+    def spy(self):
+        form = type(self.comm_t)
+        commit(self)
+        seen.append((self.plan.width, form, self.clock))
+
+    monkeypatch.setattr(macro._Sched, "commit", spy)
+    res = _run(_narrow_and_wide, 32, True)
+    assert res.macro_fallbacks == 0
+    assert {(w, f) for w, f, _ in seen} == {
+        (4, list), (8, list), (0, list), (16, np.ndarray), (32, np.ndarray)
+    }
+    # Closed-form ghost replay hands evaluate the live clock column.
+    for p in (8, 32):
+        cert = certify_macro(_world_bcast_barrier, p)
+        ghost = Engine(touchstone_delta(), p, certificate=cert, closed_form=True)
+        assert ghost.run(_world_bcast_barrier).returns[0] == 2.5
+    assert {(w, f) for w, f, _ in seen[-4:]} == {
+        (4, list), (8, list), (16, np.ndarray), (32, np.ndarray)
+    }
+    for _, _, finishes in seen:
+        assert all(type(t) is float for t in finishes)
+    _assert_identical(res, _run(_narrow_and_wide, 32, False))

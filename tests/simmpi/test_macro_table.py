@@ -8,10 +8,19 @@ table, so a pair added to it is checked with no edit here (a new
 the collective API -- positional signatures and default algorithms --
 must match the ``Comm`` methods, or certification would check a pair
 other than the one the engine dispatches.
+
+The list form of ``macro._Sched`` prices a round pair by pair, so a
+rendezvous handshake there reads the destination's clock after the
+round's earlier sends.  That equals the vectorised round only if every
+round priced at a rendezvous size has disjoint sources and
+destinations: the acyclic entries' rounds are disjoint, and the cyclic
+rounds bail before they are priced.  Both halves are checked against
+the table.
 """
 
 import inspect
 
+import numpy as np
 import pytest
 
 import repro.simmpi.collectives as coll
@@ -24,6 +33,7 @@ from repro.simmpi import Engine
 from repro.simmpi.comm import Comm
 from repro.simmpi.group import GroupComm
 from repro.simmpi.stencil import grid_halo
+from repro.util.errors import DeadlockError
 
 P = 4
 
@@ -120,6 +130,76 @@ def test_pairs_outside_the_table_never_park_and_are_refused(monkeypatch, kind, a
     assert parked == set()
     with pytest.raises(CertificationError, match="no closed-form macro evaluator"):
         certify_macro(PROGRAMS[kind], P, assume={"alg": algorithm})
+
+
+#: Entries whose evaluator can price a rendezvous-sized round.
+ACYCLIC = [
+    ("allreduce", "recursive_doubling"),
+    ("bcast", "tree"),
+    ("bcast", "tree_nb"),
+    ("reduce", "binomial"),
+]
+#: Entries with no rounds: they price message by message.
+CHAINS = [("bcast", "ring"), ("bcast", "flat")]
+
+
+def _rendezvous_rounds(kind, algorithm, p, root):
+    """The rounds of ``(kind, algorithm)`` at ``(p, root)`` that its
+    evaluator may price at a rendezvous size."""
+    rounds = list(macro.TABLE[(kind, algorithm)].rounds(p, root, algorithm))
+    if kind == "allreduce":
+        # Only the fold and hand-back, present when p is not a power
+        # of two; the butterfly between them bails.
+        return [rounds[0], rounds[-1]] if p & (p - 1) else []
+    return rounds
+
+
+@pytest.mark.parametrize("kind,algorithm", ACYCLIC)
+def test_rendezvous_rounds_have_disjoint_sources_and_destinations(kind, algorithm):
+    for p in range(2, 65):
+        for root in range(p):
+            for srcs, dsts in _rendezvous_rounds(kind, algorithm, p, root):
+                assert len(srcs)
+                assert not set(srcs.tolist()) & set(dsts.tolist()), (p, root)
+
+
+@pytest.mark.parametrize(
+    "kind,algorithm", sorted(set(macro.TABLE) - set(CHAINS))
+)
+def test_cyclic_rounds_bail_before_pricing_a_rendezvous_size(
+    monkeypatch, kind, algorithm
+):
+    """Under an all-rendezvous threshold, no round with a rank on both
+    ends reaches the list form's pair loop with a rendezvous size: the
+    evaluator either prices only eager or disjoint rounds, or bails to
+    the event path first."""
+    priced = []
+    send_round = macro._Sched.send_round
+
+    def spy(self, rnd, nbytes):
+        assert self.narrow
+        srcs, dsts = rnd[0].tolist(), rnd[1].tolist()
+        rendezvous = int(np.max(nbytes)) > self.eager_max
+        assert not (rendezvous and set(srcs) & set(dsts))
+        priced.append(rnd)
+        return send_round(self, rnd, nbytes)
+
+    results = []
+    evaluate = engine_mod._macro_evaluate
+
+    def spy_evaluate(*args, **kwargs):
+        results.append(evaluate(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(macro._Sched, "send_round", spy)
+    monkeypatch.setattr(engine_mod, "_macro_evaluate", spy_evaluate)
+    engine = Engine(touchstone_delta(), P, seed=1, eager_threshold_bytes=0.0)
+    try:
+        engine.run(PROGRAMS[kind], algorithm)
+    except DeadlockError:
+        pass  # the event path's legitimate answer to a cyclic rendezvous
+    # The macro layer ran: it priced rounds, or it bailed.
+    assert priced or None in results
 
 
 def test_reduce_bcast_composes_two_table_entries(monkeypatch):

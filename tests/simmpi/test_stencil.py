@@ -12,12 +12,14 @@ deadlock the same way.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simmpi.macro as macro_layer
 from repro.apps import cfd, ocean
 from repro.linalg.decomp import ProcessGrid2D
 from repro.machine.presets import touchstone_delta
@@ -321,13 +323,7 @@ def _generated_outcome(spec, eager, steps, macro):
         return exc
 
 
-@settings(max_examples=150, deadline=None)
-@given(_stencil_scenarios())
-def test_generated_exchanges_bit_identical(scenario):
-    """1-D and 2-D grids up to 24 ranks, wrapped or open, one axis or
-    both, scalar or 0-64 element payloads, three eager thresholds and
-    optional point-to-point traffic before each phase: the macro run
-    prices (or falls back) bit-identically, and deadlocks identically."""
+def _check_generated(scenario):
     spec, eager, steps = scenario
     ref = _generated_outcome(spec, eager, steps, False)
     macro = _generated_outcome(spec, eager, steps, True)
@@ -336,3 +332,22 @@ def test_generated_exchanges_bit_identical(scenario):
         assert str(macro) == str(ref)
         return
     _assert_identical(macro, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stencil_scenarios())
+def test_generated_exchanges_bit_identical(scenario):
+    """1-D and 2-D grids up to 24 ranks, wrapped or open, one axis or
+    both, scalar or 0-64 element payloads, three eager thresholds and
+    optional point-to-point traffic before each phase: the macro run
+    prices (or falls back) bit-identically, and deadlocks identically."""
+    _check_generated(scenario)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stencil_scenarios())
+def test_generated_exchanges_bit_identical_on_arrays(scenario):
+    """The same draws with every plan priced on NumPy columns (the
+    narrower ones otherwise price pair by pair on lists)."""
+    with mock.patch.object(macro_layer, "VECTOR_WIDTH", 0):
+        _check_generated(scenario)
