@@ -31,7 +31,7 @@ import os
 import time
 
 from repro.analyze import analyze_paths
-from repro.analyze.visitor import iter_program_defs
+from repro.analyze.symbolic import iter_program_defs
 from repro.linalg.blocklu import make_test_matrix
 from repro.linalg.decomp import ProcessGrid2D
 from repro.linalg.lu2d import lu2d

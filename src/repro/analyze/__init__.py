@@ -3,8 +3,8 @@
 The ASTA software-tools thrust the paper describes funded exactly this
 class of tooling: correctness checkers that let application teams trust
 message-passing codes *before* burning machine time.  This package is
-that tool for the repo's simulator: a linter that walks rank-program
-source and reports typed findings for seven rule classes --
+that tool for the repo's simulator: a linter that interprets
+rank-program source and reports typed findings for eight rule classes --
 
 ====  ========================  ===========================================
 code  name                      catches
@@ -20,16 +20,19 @@ W009  proved-deadlock           symbolic rendezvous replay proves a
                                 wait-for cycle (no dynamic run needed)
 W010  mirror-pairing            neighbor-exchange receive offsets are not
                                 the negated send offsets
+W011  not-analysable            the interpreter cannot evaluate the
+                                program (a walrus, a ``match`` ...)
 ====  ========================  ===========================================
 
-W001, W002 and W006 are per-program AST rules.  W007-W010 are
-*symbolic*: the abstract interpreter in :mod:`repro.analyze.symbolic`
-partially evaluates each program over a symbolic rank, and the matchers
-in :mod:`repro.analyze.schedule` instantiate the resulting parameterized
+One front-end feeds every rule: the abstract interpreter in
+:mod:`repro.analyze.symbolic` partially evaluates each program over a
+symbolic rank, once.  W001, W002 and W006 read the facts it records at
+each call site.  W007-W010 instantiate the resulting parameterized
 schedule for every rank of an ``n_ranks``-rank world (default 8) and
-cross-check the ranks against each other.  Every rule runs on every
-call.  The retired codes W003, W004 and W005 are aliases of W008, W009
-and W007 (:data:`~repro.analyze.registry.ALIASES`): they still work in
+cross-check the ranks against each other (:mod:`repro.analyze.schedule`).
+Every rule runs on every call.  The retired codes W003, W004 and W005
+are aliases of W008, W009 and W007
+(:data:`~repro.analyze.registry.ALIASES`): they still work in
 ``select=`` and in disable comments, and findings carry the target code.
 
 Programmatic use::
@@ -52,11 +55,8 @@ the deadlocked cycle -- or ``None``.
 
 from __future__ import annotations
 
-import ast
-import inspect
 import os
-import textwrap
-from typing import Callable, Iterable, List, Optional, Set, Union
+from typing import Callable, Iterable, List, Optional, Union
 
 from repro.analyze.findings import SEVERITIES, Finding, sort_findings
 from repro.analyze.registry import (
@@ -69,7 +69,6 @@ from repro.analyze.registry import (
     validate_codes,
 )
 from repro.analyze.reporting import format_findings, format_findings_json, summarize
-from repro.analyze.visitor import ProgramModel, build_model, iter_program_defs
 from repro.analyze.dynamic import confirm_deadlock
 from repro.util.errors import AnalysisError
 
@@ -83,7 +82,6 @@ __all__ = [
     "AnalysisError",
     "DEFAULT_SYMBOLIC_RANKS",
     "Finding",
-    "ProgramModel",
     "Rule",
     "RULES",
     "SEVERITIES",
@@ -98,36 +96,6 @@ __all__ = [
     "summarize",
     "validate_codes",
 ]
-
-
-def _dedup(findings: Iterable[Finding], seen: set) -> List[Finding]:
-    out = []
-    for finding in findings:
-        key = (finding.rule, finding.file, finding.line, finding.col,
-               finding.message)
-        if key not in seen:  # nested defs can be walked twice
-            seen.add(key)
-            out.append(finding)
-    return out
-
-
-def _run_checks(
-    tree: ast.Module, filename: str, codes: Set[str], n_ranks: int
-) -> List[Finding]:
-    # The interpreter pulls in the simulator's closed-form tables; import
-    # it on first use so ``import repro.analyze`` stays light.
-    from repro.analyze.symbolic import interpret_def
-
-    findings: List[Finding] = []
-    seen: set = set()
-    for fn in iter_program_defs(tree):
-        model = build_model(fn, filename)
-        program = interpret_def(fn, n_ranks, filename)
-        for code, meta in RULES.items():
-            if code in codes:
-                subject = program if meta.cross_rank else model
-                findings.extend(_dedup(CHECKS[code](subject), seen))
-    return findings
 
 
 def analyze_source(
@@ -146,14 +114,22 @@ def analyze_source(
     if n_ranks < 1:
         raise AnalysisError(f"world size must be at least 1 rank, got {n_ranks}")
     codes = resolve_select(select)
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        raise AnalysisError(f"{filename}: cannot parse: {exc}") from exc
-    if line_offset:
-        ast.increment_lineno(tree, line_offset)
-    findings = _run_checks(tree, filename, codes, n_ranks)
-    findings = filter_suppressed(findings, suppressed_lines(source, line_offset))
+    # The interpreter pulls in the simulator's closed-form tables; import
+    # it on first use so ``import repro.analyze`` stays light.
+    from repro.analyze.symbolic import interpret_source
+
+    programs = interpret_source(source, n_ranks, filename, line_offset=line_offset)
+    findings = [
+        finding
+        for program in programs
+        for code in RULES
+        if code in codes
+        for finding in CHECKS[code](program)
+    ]
+    # A loop repeats a finding word for word: report it once.
+    findings = filter_suppressed(
+        dict.fromkeys(findings), suppressed_lines(source, line_offset)
+    )
     return sort_findings(findings)
 
 
@@ -176,16 +152,11 @@ def analyze_program(
             f"analyze_program expects a function or source string, "
             f"got {type(fn_or_source).__name__}"
         )
-    try:
-        source = inspect.getsource(fn_or_source)
-        filename = inspect.getsourcefile(fn_or_source) or "<source>"
-        _, first_line = inspect.getsourcelines(fn_or_source)
-    except (OSError, TypeError) as exc:
-        raise AnalysisError(
-            f"cannot retrieve source for {fn_or_source!r}: {exc}"
-        ) from exc
+    from repro.analyze.symbolic import program_source
+
+    source, filename, first_line = program_source(fn_or_source)
     return analyze_source(
-        textwrap.dedent(source),
+        source,
         filename=filename,
         select=select,
         line_offset=first_line - 1,

@@ -39,9 +39,8 @@ stale certificate (edited program, different rank count) is rejected at
 from __future__ import annotations
 
 import hashlib
-import inspect
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analyze.schedule import (
@@ -62,20 +61,14 @@ class CertificationError(AnalysisError):
     the first disqualifying construct."""
 
 
-def _source_sha(source: str) -> str:
-    return hashlib.sha256(textwrap.dedent(source).encode("utf-8")).hexdigest()
-
-
 def program_sha(fn_or_source: Union[Callable, str]) -> str:
     """SHA-256 of a rank program's (dedented) source text."""
-    if isinstance(fn_or_source, str):
-        return _source_sha(fn_or_source)
-    try:
-        return _source_sha(inspect.getsource(fn_or_source))
-    except (OSError, TypeError) as exc:
-        raise AnalysisError(
-            f"cannot retrieve source for {fn_or_source!r}: {exc}"
-        ) from exc
+    source = fn_or_source
+    if not isinstance(source, str):
+        from repro.analyze.symbolic import program_source
+
+        source = program_source(source)[0]
+    return hashlib.sha256(textwrap.dedent(source).encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -37,24 +37,17 @@ class Rule:
     name: str
     severity: str
     summary: str
-    #: Cross-rank rules check the schedule built by
-    #: :mod:`repro.analyze.symbolic` instead of the per-program AST
-    #: model.
-    cross_rank: bool = False
 
 
 #: code -> rule metadata, in registration order.
 RULES: Dict[str, Rule] = {}
-#: code -> check function, ``(model: ProgramModel) -> List[Finding]``
-#: or, for cross-rank rules, ``(program: SymbolicProgram) -> List[Finding]``.
+#: code -> check function, ``(program: SymbolicProgram) -> List[Finding]``.
 CHECKS: Dict[str, Callable] = {}
 #: Retired code -> the rule that subsumes it.
 ALIASES: Dict[str, str] = {"W003": "W008", "W004": "W009", "W005": "W007"}
 
 
-def rule(
-    code: str, name: str, severity: str, summary: str, cross_rank: bool = False
-) -> Callable:
+def rule(code: str, name: str, severity: str, summary: str) -> Callable:
     """Class decorator-style registrar for rule check functions."""
     if severity not in SEVERITIES:
         raise AnalysisError(
@@ -64,10 +57,7 @@ def rule(
     def decorator(check: Callable) -> Callable:
         if code in RULES:
             raise AnalysisError(f"duplicate rule code {code}")
-        RULES[code] = Rule(
-            code=code, name=name, severity=severity, summary=summary,
-            cross_rank=cross_rank,
-        )
+        RULES[code] = Rule(code=code, name=name, severity=severity, summary=summary)
         CHECKS[code] = check
         return check
 

@@ -1,16 +1,20 @@
 """The communication-correctness rules.
 
-W001, W002 and W006 are per-program AST rules: each is a function from
-a :class:`~repro.analyze.visitor.ProgramModel` to a list of
+Every rule is a function from the
+:class:`~repro.analyze.schedule.SymbolicProgram` that
+:mod:`repro.analyze.symbolic` builds for one rank program to a list of
 :class:`~repro.analyze.findings.Finding`, registered through
 :func:`~repro.analyze.registry.rule`.
 
-W007-W010 are *symbolic* rules: they run over the cross-rank schedule
-built by :mod:`repro.analyze.symbolic` and instantiated/matched by
-:mod:`repro.analyze.schedule`, so they see whole-program facts -- which
-rank's send pairs with which rank's receive -- that no single-rank AST
-walk can.  The retired codes W003-W005 are aliases of W008, W009 and
-W007 (:data:`~repro.analyze.registry.ALIASES`).
+W001, W002 and W006 read the facts the interpreter records at each call
+site (coroutines never driven, where each request handle went, the
+receives it emitted).  W007-W010 run over the cross-rank schedule,
+instantiated and matched by :mod:`repro.analyze.schedule`, so they see
+whole-program facts -- which rank's send pairs with which rank's
+receive -- that no single-rank view can.  W011 reports a program the
+interpreter could not evaluate, which the other rules checked only in
+part.  The retired codes W003-W005 are aliases of W008, W009 and W007
+(:data:`~repro.analyze.registry.ALIASES`).
 
 Every rule runs on every lint.  The shipped trees (``examples`` and
 ``src/repro``) lint clean in CI, and the deliberately-buggy fixtures
@@ -20,33 +24,26 @@ and does not flag.
 
 from __future__ import annotations
 
-from typing import List, Set
-
-import ast
+from typing import Any, Dict, Iterator, List, Set, Tuple
 
 from repro.analyze import schedule as _schedule
 from repro.analyze.findings import Finding
 from repro.analyze.registry import RULES, rule
-from repro.analyze.schedule import SymbolicProgram
-from repro.analyze.visitor import CommCall, ProgramModel, constant_int, is_wildcard
+from repro.analyze.schedule import Branch, Loop, RecvOp, SymbolicProgram
 
 
 def _finding(
-    code: str, model: ProgramModel, line: int, message: str, col: int = 0
+    code: str, program: SymbolicProgram, line: int, message: str, col: int = 0
 ) -> Finding:
     return Finding(
         rule=code,
         severity=RULES[code].severity,
-        file=model.filename,
+        file=program.filename,
         line=line,
-        message=f"{message} [in {model.name}()]",
+        message=f"{message} [in {program.name}()]",
         col=col,
     )
 
-
-# ---------------------------------------------------------------------------
-# W001 -- dropped coroutine
-# ---------------------------------------------------------------------------
 
 @rule(
     "W001",
@@ -54,37 +51,21 @@ def _finding(
     severity="error",
     summary="comm coroutine called without 'yield from': the operation never executes",
 )
-def check_dropped_coroutine(model: ProgramModel) -> List[Finding]:
-    findings = []
-    for call in model.calls:
-        if call.yielded:
-            continue
-        findings.append(
-            _finding(
-                "W001",
-                model,
-                call.line,
-                f"{call.comm_name}.{call.method}(...) called without 'yield from': "
-                "rank programs are generators, so the bare call builds a coroutine "
-                "and silently discards it -- the operation never executes",
-                col=call.col,
-            )
+def check_dropped_coroutine(program: SymbolicProgram) -> List[Finding]:
+    return [
+        _finding(
+            "W001",
+            program,
+            line,
+            "{}.{}(...) called without 'yield from': rank programs are "
+            "generators, so the bare call builds a coroutine and silently "
+            "discards it -- the operation never executes".format(
+                *program.sites[line, col]
+            ),
+            col=col,
         )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# W002 -- leaked nonblocking handle
-# ---------------------------------------------------------------------------
-
-def _waited_names(model: ProgramModel) -> Set[str]:
-    """Names that reach a wait/waitall/waitany argument."""
-    waited: Set[str] = set()
-    for call in model.calls:
-        if call.method in ("wait", "waitall", "waitany"):
-            for expr in call.args.values():
-                waited |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
-    return waited
+        for line, col in sorted(program.dropped)
+    ]
 
 
 @rule(
@@ -93,44 +74,46 @@ def _waited_names(model: ProgramModel) -> Set[str]:
     severity="warning",
     summary="isend/irecv handle never passed to wait/waitall/waitany",
 )
-def check_leaked_handle(model: ProgramModel) -> List[Finding]:
-    waited = _waited_names(model)
-    consumed = set(waited) | model.returned_names
+def check_leaked_handle(program: SymbolicProgram) -> List[Finding]:
     findings = []
-    for call in model.calls:
-        if call.method not in ("isend", "irecv") or not call.yielded:
+    for handle in program.handles.values():
+        if handle.consumed:
             continue
-        names = set(call.targets)
-        if call.appended_to:
-            names.add(call.appended_to)
-        # A handle is consumed when it -- or any container it flows
-        # into (handles.append(h); waitall(handles)) -- is waited on
-        # or returned to the caller.
-        reachable = set(names)
-        for name in names:
-            reachable |= model.flows_into(name)
-        if names and reachable & consumed:
-            continue
-        what = "handle" if names else "unbound handle"
-        bound = f" '{', '.join(sorted(names))}'" if names else ""
+        what = "handle" if handle.names else "unbound handle"
+        bound = f" '{', '.join(sorted(handle.names))}'" if handle.names else ""
         findings.append(
             _finding(
                 "W002",
-                model,
-                call.line,
-                f"{call.method} {what}{bound} is never passed to "
+                program,
+                handle.line,
+                f"{handle.method} {what}{bound} is never passed to "
                 "wait/waitall/waitany: the request is leaked, so its "
                 "completion (and, for rendezvous isends, the transfer "
                 "itself) is never synchronised",
-                col=call.col,
+                col=handle.col,
             )
         )
     return findings
 
 
-# ---------------------------------------------------------------------------
-# W006 -- wildcard-source race
-# ---------------------------------------------------------------------------
+def _receives(ops: List[Any]) -> Iterator[RecvOp]:
+    for op in ops:
+        if isinstance(op, RecvOp):
+            yield op
+        elif isinstance(op, Branch):
+            yield from _receives(op.body)
+            yield from _receives(op.orelse)
+        elif isinstance(op, Loop):
+            yield from _receives(op.body)
+
+
+def _tags_overlap(a: Any, b: Any) -> bool:
+    """Two receive tags can match one message: either is the wildcard,
+    either is not a concrete int, or they are equal."""
+    if not (isinstance(a, int) and isinstance(b, int)):
+        return True
+    return a == b or -1 in (a, b)
+
 
 @rule(
     "W006",
@@ -138,56 +121,38 @@ def check_leaked_handle(model: ProgramModel) -> List[Finding]:
     severity="warning",
     summary="recv(ANY_SOURCE) races a source-specific recv in the same program",
 )
-def check_wildcard_race(model: ProgramModel) -> List[Finding]:
-    receives = [c for c in model.calls if c.method in ("recv", "irecv")]
-    wildcards = [c for c in receives if is_wildcard(c.args.get("source"), ("ANY_SOURCE",))]
-    specifics = [c for c in receives if not is_wildcard(c.args.get("source"), ("ANY_SOURCE",))]
-    if not wildcards or not specifics:
-        return []
-
-    def tags_overlap(a: CommCall, b: CommCall) -> bool:
-        tag_a = a.args.get("tag")
-        tag_b = b.args.get("tag")
-        if is_wildcard(tag_a, ("ANY_TAG",)) or is_wildcard(tag_b, ("ANY_TAG",)):
-            return True
-        const_a, const_b = constant_int(tag_a), constant_int(tag_b)
-        if const_a is None or const_b is None:
-            return True  # computed tags: assume they can collide
-        return const_a == const_b
-
-    findings = []
-    for wildcard in wildcards:
-        rivals = [s for s in specifics if tags_overlap(wildcard, s)]
-        if not rivals:
+def check_wildcard_race(program: SymbolicProgram) -> List[Finding]:
+    # sendrecv's receive is internal to the call: it races nothing.
+    receives = [
+        op for op in _receives(program.ops + program.shadow_ops)
+        if program.sites[op.line, op.col][1] != "sendrecv"
+    ]
+    rivals: Dict[Tuple[int, int], Set[int]] = {}
+    for wildcard in receives:
+        if wildcard.source != -1:
             continue
-        lines = ", ".join(str(s.line) for s in rivals)
-        findings.append(
-            _finding(
-                "W006",
-                model,
-                wildcard.line,
-                "recv(ANY_SOURCE) can steal the message a source-specific "
-                f"recv (line {lines}) is waiting for: which receive matches "
-                "depends on arrival order, so results are timing-dependent. "
-                "Disambiguate with tags or name the source",
-                col=wildcard.col,
-            )
+        site = (wildcard.line, wildcard.col)
+        lines = rivals.setdefault(site, set())
+        lines.update(
+            op.line for op in receives
+            if op.source != -1 and (op.line, op.col) != site
+            and _tags_overlap(wildcard.tag, op.tag)
         )
-    return findings
-
-
-# ---------------------------------------------------------------------------
-# W007-W010 -- symbolic cross-rank rules
-# ---------------------------------------------------------------------------
-
-def _sym_finding(code: str, program: SymbolicProgram, line: int, message: str) -> Finding:
-    return Finding(
-        rule=code,
-        severity=RULES[code].severity,
-        file=program.filename,
-        line=line,
-        message=f"{message} [in {program.name}()]",
-    )
+    return [
+        _finding(
+            "W006",
+            program,
+            line,
+            "recv(ANY_SOURCE) can steal the message a source-specific "
+            f"recv (line {', '.join(map(str, sorted(lines)))}) is waiting "
+            "for: which receive matches depends on arrival order, so "
+            "results are timing-dependent. Disambiguate with tags or name "
+            "the source",
+            col=col,
+        )
+        for (line, col), lines in rivals.items()
+        if lines
+    ]
 
 
 @rule(
@@ -195,11 +160,10 @@ def _sym_finding(code: str, program: SymbolicProgram, line: int, message: str) -
     name="unmatched-send",
     severity="error",
     summary="cross-rank matching finds a send no receive accepts (or vice versa)",
-    cross_rank=True,
 )
 def check_unmatched_send(program: SymbolicProgram) -> List[Finding]:
     return [
-        _sym_finding("W007", program, line, message)
+        _finding("W007", program, line, message)
         for line, message in _schedule.match_point_to_point(program)
     ]
 
@@ -209,11 +173,10 @@ def check_unmatched_send(program: SymbolicProgram) -> List[Finding]:
     name="collective-divergence",
     severity="error",
     summary="ranks provably issue different world-collective sequences",
-    cross_rank=True,
 )
 def check_collective_divergence(program: SymbolicProgram) -> List[Finding]:
     return [
-        _sym_finding("W008", program, line, message)
+        _finding("W008", program, line, message)
         for line, message in _schedule.collective_divergence(program)
     ]
 
@@ -223,11 +186,10 @@ def check_collective_divergence(program: SymbolicProgram) -> List[Finding]:
     name="proved-deadlock",
     severity="warning",
     summary="symbolic rendezvous replay proves a wait-for cycle (deadlock)",
-    cross_rank=True,
 )
 def check_proved_deadlock(program: SymbolicProgram) -> List[Finding]:
     return [
-        _sym_finding("W009", program, line, message)
+        _finding("W009", program, line, message)
         for line, message in _schedule.prove_deadlock(program)
     ]
 
@@ -237,10 +199,29 @@ def check_proved_deadlock(program: SymbolicProgram) -> List[Finding]:
     name="mirror-pairing",
     severity="error",
     summary="neighbor exchange receive offsets are not the negated send offsets",
-    cross_rank=True,
 )
 def check_mirror_pairing(program: SymbolicProgram) -> List[Finding]:
     return [
-        _sym_finding("W010", program, line, message)
+        _finding("W010", program, line, message)
         for line, message in _schedule.mirror_pairing(program)
+    ]
+
+
+@rule(
+    "W011",
+    name="not-analysable",
+    severity="warning",
+    summary="the interpreter cannot evaluate the program, so no rule checked all of it",
+)
+def check_not_analysable(program: SymbolicProgram) -> List[Finding]:
+    if program.failure is None:
+        return []
+    return [
+        _finding(
+            "W011",
+            program,
+            program.line,
+            f"the interpreter cannot evaluate this program ({program.failure}), "
+            "so the other rules checked only the code it reached first",
+        )
     ]

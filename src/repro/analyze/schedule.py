@@ -7,6 +7,8 @@ sizes are either concrete values or symbolic expressions evaluable at a
 given rank.  This module owns
 
 * the schedule node types (:class:`SendOp` .. :class:`Loop`);
+* :class:`SymbolicProgram`, which also carries the facts the
+  interpreter records per call site for W001, W002 and W006;
 * :func:`instantiate` -- evaluate the tree at one concrete rank,
   yielding a flat list of concrete operations (raises
   :class:`NotConcrete` when some peer/count cannot be resolved, which
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.util.errors import AnalysisError
 
@@ -149,6 +151,20 @@ class Loop:
 
 
 @dataclass
+class Handle:
+    """An isend/irecv request a ``yield from`` returned."""
+
+    method: str
+    line: int
+    col: int
+    #: Names the handle was bound to (empty: the result was discarded).
+    names: Set[str] = field(default_factory=set)
+    #: Reached a wait/waitall/waitany argument or a return value,
+    #: directly or through a container.
+    consumed: bool = False
+
+
+@dataclass
 class SymbolicProgram:
     """The symbolic interpreter's result for one rank program."""
 
@@ -157,6 +173,19 @@ class SymbolicProgram:
     line: int
     n_ranks: int
     ops: List[Any] = field(default_factory=list)
+    #: Ops of code the schedule does not take (nested closures, untaken
+    #: arms, ``except`` handlers, zero-trip loops, dead code), walked
+    #: for their call sites; the matchers and the certifier read only
+    #: :attr:`ops`.
+    shadow_ops: List[Any] = field(default_factory=list)
+    #: Every comm coroutine call site evaluated: ``(line, col)`` ->
+    #: ``(communicator as written, method)``, e.g. ``("row_comm", "bcast")``.
+    sites: Dict[Tuple[int, int], Tuple[str, str]] = field(default_factory=dict)
+    #: Sites some evaluation of which built a coroutine that no
+    #: ``yield from`` drove.
+    dropped: Set[Tuple[int, int]] = field(default_factory=set)
+    #: Request handles by the site of the isend/irecv that made them.
+    handles: Dict[Tuple[int, int], Handle] = field(default_factory=dict)
     #: Interpretation gave up (exception text); matchers fail open.
     failure: Optional[str] = None
     #: Point-to-point / wait ops appear somewhere in the schedule.
@@ -164,8 +193,6 @@ class SymbolicProgram:
     #: Some comm op sits under an opaque or rank-dependent-undecidable
     #: guard (certification must refuse; matchers skip).
     has_guarded_ops: bool = False
-    #: Some comm op sits inside an opaque-count loop.
-    has_unknown_loop: bool = False
 
 
 # ---------------------------------------------------------------------------

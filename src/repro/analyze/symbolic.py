@@ -1,13 +1,19 @@
-"""Symbolic abstract interpretation of rank programs.
+"""Symbolic abstract interpretation of rank programs: the analyzer's
+one front-end.
 
-The per-rank rules in :mod:`repro.analyze.rules` pattern-match a single
-rank's AST.  This module goes further: it *partially evaluates* a rank
-program over a symbolic rank ``r`` with a concrete world size ``n``,
-producing a parameterized communication schedule
+This module *partially evaluates* a rank program over a symbolic rank
+``r`` with a concrete world size ``n``, producing a parameterized
+communication schedule
 (:class:`~repro.analyze.schedule.SymbolicProgram`) whose peers, tags and
 trip counts are either concrete values or expressions evaluable at any
 given rank.  The cross-rank matchers (W007-W010) and the macro
-certifier (:mod:`repro.analyze.certify`) both run on that schedule.
+certifier (:mod:`repro.analyze.certify`) run on that schedule.  The same
+walk records per-call-site facts for the single-rank rules: which comm
+coroutines no ``yield from`` drove (W001), where each request handle
+went (W002), and every receive (W006).  Code the schedule does not
+take at this world size -- nested closures, untaken arms, ``except``
+handlers, zero-trip loops, dead code -- is *shadowed*: walked for its
+call sites only, leaving the environment and the schedule as they were.
 
 Value domain
 ------------
@@ -32,28 +38,32 @@ Everything is deliberately conservative: when the interpreter cannot
 prove a fact it degrades to an :class:`Unknown` (poisoning certification
 and making the matchers skip), never to a wrong concrete value.  A
 program using syntax outside the supported subset yields a
-``SymbolicProgram`` with ``failure`` set, and every downstream consumer
-fails open.
+``SymbolicProgram`` with ``failure`` set: every downstream consumer
+fails open, and the linter reports the program as not analysable.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import textwrap
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.analyze.schedule import (
     Branch,
     CollOp,
     ExchangeOp,
+    Handle,
     Loop,
     RecvOp,
     SendOp,
     SymbolicProgram,
     WaitOp,
+    _has_comm_ops,
 )
-from repro.analyze.visitor import COLLECTIVES, iter_program_defs
 from repro.linalg.decomp import block_range, block_ranges
 from repro.simmpi.macro import SUPPORTED
 from repro.simmpi.stencil import StencilSpec, grid_halo, strip_halo
@@ -66,6 +76,42 @@ UNROLL_MAX = 64
 #: macro-ops: the macro table's, plus allreduce's reduce_bcast, which
 #: composes two of them.
 MACRO_ELIGIBLE = SUPPORTED | {("allreduce", "reduce_bcast")}
+
+#: Collective operations: every rank of the communicator must call them
+#: in the same sequence (recorded as ``CollOp``).
+COLLECTIVES = frozenset({
+    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
+    "scatter", "alltoall", "scan", "reduce_scatter",
+})
+
+#: Comm methods that return generators and MUST be driven with
+#: ``yield from`` (rule W001's universe).
+COMM_COROUTINES = COLLECTIVES | {
+    "send", "recv", "isend", "irecv", "wait", "waitall", "waitany",
+    "sendrecv", "exchange", "compute",
+}
+
+#: Methods through which a container takes in a request handle (W002).
+_MUTATORS = frozenset({"append", "extend", "insert", "add"})
+
+
+def _params(fn: ast.AST) -> List[str]:
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def _comm_params(fn: ast.AST) -> List[str]:
+    """Communicator-like parameter names of a function definition."""
+    return [n for n in _params(fn) if n == "comm" or n.endswith("_comm")]
+
+
+def iter_program_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
+    """All function definitions (at any nesting) that take a
+    communicator parameter -- the analyzer's unit of analysis."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _comm_params(node):
+                yield node
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +331,18 @@ class _Interp:
         self.program = SymbolicProgram(
             name=fn.name, filename=filename, line=fn.lineno, n_ranks=n_ranks
         )
+        #: Every coroutine a comm call built, driven or not.
+        self._built: List[_PendingOp] = []
+        #: name -> sites of the handles the name may hold, directly or
+        #: as a container they were stored into.
+        self._holds: Dict[str, Set[Tuple[int, int]]] = {}
 
     # -- driving ------------------------------------------------------------
 
     def run(self) -> SymbolicProgram:
-        args = self.fn.args
-        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-        for name in params:
-            if name == "comm" or name.endswith("_comm"):
+        comms = _comm_params(self.fn)
+        for name in _params(self.fn):
+            if name in comms:
                 self.env[name] = CommVal(world=True)
             elif name in self.assume:
                 self.env[name] = self.assume[name]
@@ -307,6 +357,7 @@ class _Interp:
         except RecursionError:
             self.program.failure = "recursion limit during interpretation"
         self.program.ops = self.ops
+        self.program.dropped = {p.site for p in self._built if not p.driven}
         return self.program
 
     # -- emission -----------------------------------------------------------
@@ -338,31 +389,38 @@ class _Interp:
         enclosing continuation cannot be re-routed, so termination
         under a symbolic guard raises the ``has_guarded_ops`` hazard
         instead and the cross-rank matchers skip the program.
+        Statements a ``return``, ``raise``, ``break`` or ``continue``
+        skips are shadowed.
         """
         for i, stmt in enumerate(stmts):
-            if isinstance(stmt, ast.If):
-                if self.exec_if(stmt, rest=stmts[i + 1:], toplevel=toplevel):
-                    return  # continuation consumed by a branch arm
-            else:
-                self.exec_stmt(stmt)
+            try:
+                if isinstance(stmt, ast.If):
+                    if self.exec_if(stmt, rest=stmts[i + 1:], toplevel=toplevel):
+                        return  # continuation consumed by a branch arm
+                else:
+                    self.exec_stmt(stmt)
+            except (_Return, _Raise, _Break, _Continue):
+                self._shadow(stmts[i + 1:])
+                raise
 
     def exec_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
             value = self.eval(stmt.value)
-            if len(stmt.targets) != 1:
-                for target in stmt.targets:
-                    self.assign(target, value)
-            else:
-                self.assign(stmt.targets[0], value)
+            for target in stmt.targets:
+                self.assign(target, value)
+                self._flow(target, stmt.value, value)
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
-                self.assign(stmt.target, self.eval(stmt.value))
+                value = self.eval(stmt.value)
+                self.assign(stmt.target, value)
+                self._flow(stmt.target, stmt.value, value)
         elif isinstance(stmt, ast.AugAssign):
             current = self.eval_target_value(stmt.target)
-            value = self.binop(stmt.op, current, self.eval(stmt.value))
-            self.assign(stmt.target, value)
+            increment = self.eval(stmt.value)
+            self.assign(stmt.target, self.binop(stmt.op, current, increment))
+            self._flow(stmt.target, stmt.value, increment)
         elif isinstance(stmt, ast.Expr):
-            self.eval(stmt.value, statement=True)
+            self.eval(stmt.value)
         elif isinstance(stmt, ast.If):
             self.exec_if(stmt)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
@@ -377,7 +435,7 @@ class _Interp:
             self.exec_block(stmt.body)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self.eval(stmt.value)
+                self._consume(stmt.value, self.eval(stmt.value))
             raise _Return()
         elif isinstance(stmt, ast.Raise):
             raise _Raise()
@@ -389,15 +447,27 @@ class _Interp:
                                ast.Nonlocal, ast.Assert, ast.Delete)):
             pass
         elif isinstance(stmt, ast.Try):
-            # Exceptional control flow is outside the model; interpret
-            # the main body and ignore handlers (fail open on raise).
-            self.exec_block(stmt.body)
+            # Exceptional control flow is outside the model: the body,
+            # else and finally run in order (fail open on raise), and
+            # the handlers are shadowed.
+            try:
+                self.exec_block(stmt.body)
+            except (_Return, _Raise, _Break, _Continue):
+                self._shadow(stmt.orelse + stmt.finalbody)
+                raise
+            finally:
+                for handler in stmt.handlers:
+                    self._shadow(handler.body, [handler.name] if handler.name else [])
             self.exec_block(stmt.orelse)
             self.exec_block(stmt.finalbody)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             # Nested defs are opaque callables; calling one degrades to
-            # Unknown like any unresolved call.
+            # Unknown like any unresolved call.  A closure over the
+            # communicator is shadowed where it is defined; one with its
+            # own communicator parameter is a program of its own.
             self.env[stmt.name] = Unknown(rank_dep=False, key=("def", stmt.name))
+            if not _comm_params(stmt):
+                self._shadow(stmt.body, _params(stmt))
         else:
             raise Unsupported(f"unsupported statement {type(stmt).__name__}")
 
@@ -427,6 +497,61 @@ class _Interp:
                                          else Unknown(rank_dep=True))
         else:
             raise Unsupported(f"unsupported assign target {type(target).__name__}")
+
+    # -- per-site facts -----------------------------------------------------
+
+    def _held(self, node: ast.AST, value: Any) -> Set[Tuple[int, int]]:
+        """Sites of the handles in ``value`` or in any name ``node`` reads."""
+        held = set(_handles_in(value))
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                held |= self._holds.get(sub.id, set())
+        return held
+
+    def _flow(self, target: ast.AST, source: ast.AST, value: Any) -> None:
+        """The names in ``target`` may now hold what ``source`` (evaluated
+        to ``value``) held.  A handle that a ``yield from`` returned
+        straight into a name is bound to that name."""
+        held = self._held(source, value)
+        for sub in ast.walk(target) if held else ():
+            if isinstance(sub, ast.Name):
+                self._holds.setdefault(sub.id, set()).update(held)
+        site = _handle_site(value)
+        if site is not None and isinstance(source, ast.YieldFrom) and \
+                isinstance(target, ast.Name):
+            self.program.handles[site].names.add(target.id)
+
+    def _consume(self, node: ast.AST, value: Any) -> None:
+        """``value`` (from ``node``) reaches a wait or a return."""
+        for site in self._held(node, value):
+            self.program.handles[site].consumed = True
+
+    def _shadow(self, stmts: Sequence[ast.stmt], names: Sequence[str] = ()) -> None:
+        """Walk code the schedule does not take -- a nested closure, the
+        untaken arm of a concrete ``if``, an ``except`` handler, a loop
+        body that runs zero times, statements a ``return`` skips -- for
+        its call sites only, with ``names`` bound to opaque values.  The
+        ops go to ``shadow_ops``, the environment and the schedule flags
+        are left as they were, and a construct the interpreter cannot
+        evaluate ends only this walk."""
+        if not stmts:
+            return
+        program, env = self.program, dict(self.env)
+        flags = program.has_p2p, program.has_guarded_ops
+        for name in names:
+            self.env[name] = Unknown(rank_dep=False, key=("param", name))
+
+        def body() -> None:
+            try:
+                self.exec_block(list(stmts), toplevel=True)
+            except (_Return, _Raise, _Break, _Continue, Unsupported):
+                pass
+
+        try:
+            program.shadow_ops.extend(self._nested(body))
+        finally:
+            self.env = env
+            program.has_p2p, program.has_guarded_ops = flags
 
     def eval_target_value(self, target: ast.expr) -> Any:
         try:
@@ -461,6 +586,7 @@ class _Interp:
             return self._symbolic_branch(stmt, test=None,
                                          uniform=not is_rank_dep(test),
                                          rest=rest, toplevel=toplevel)
+        self._shadow(stmt.orelse if test else stmt.body)
         self.exec_block(stmt.body if test else stmt.orelse)
         return False
 
@@ -498,7 +624,8 @@ class _Interp:
                 # ranks, so the statements after the if are exactly the
                 # continuation of the *surviving* arm: fold them in.
                 if terminated[0] and terminated[1]:
-                    consumed = bool(rest)  # both arms exit: rest is dead
+                    self._shadow(rest)  # both arms exit: rest is dead
+                    consumed = bool(rest)
                 elif rest:
                     surviving_env = orelse_env if terminated[0] else body_env
                     self.env = dict(surviving_env)
@@ -524,27 +651,16 @@ class _Interp:
                 # the hazard; matchers and certification skip.
                 self.program.has_guarded_ops = True
 
-        live = []
-        if not terminated[0]:
-            live.append(body_env)
-        if not terminated[1]:
-            live.append(orelse_env)
+        live = [env for env, dead in zip((body_env, orelse_env), terminated)
+                if not dead]
         merged = dict(snapshot)
-        names = set()
-        for env in live:
-            names |= set(env)
-        for name in names:
+        for name in set().union(*live):
             values = [env.get(name, snapshot.get(name)) for env in live]
             values = [v for v in values if v is not None]
-            if not values:
-                continue
-            out = values[0]
-            for v in values[1:]:
-                out = join(out, v)
-            merged[name] = out
+            if values:
+                merged[name] = functools.reduce(join, values)
         self.env = merged
 
-        from repro.analyze.schedule import _has_comm_ops
         has_ops = _has_comm_ops(body_ops) or _has_comm_ops(orelse_ops)
         if has_ops and test is None and not uniform:
             self.program.has_guarded_ops = True
@@ -562,22 +678,14 @@ class _Interp:
 
     def exec_for(self, stmt: ast.For) -> None:
         iterable = self.eval(stmt.iter)
-        if isinstance(iterable, range) and len(iterable) <= UNROLL_MAX:
-            self._unroll(stmt, list(iterable))
-            return
-        if isinstance(iterable, (tuple, list)) and len(iterable) <= UNROLL_MAX:
-            self._unroll(stmt, list(iterable))
-            return
-        if isinstance(iterable, range):
+        self._flow(stmt.target, stmt.iter, iterable)
+        if isinstance(iterable, (range, tuple, list)):
+            if len(iterable) <= UNROLL_MAX:
+                self._unroll(stmt, list(iterable))
+                return
             count: Any = len(iterable)
-        elif isinstance(iterable, RankExpr):
-            # range() over rank expressions produces a _RangeExpr below;
-            # a bare RankExpr is not iterable.
-            count = None
         elif isinstance(iterable, _RangeExpr):
             count = iterable.count
-        elif isinstance(iterable, (tuple, list)):
-            count = len(iterable)
         else:
             count = None
         uniform = not is_rank_dep(iterable)
@@ -585,11 +693,14 @@ class _Interp:
                            loop_var_dep=is_rank_dep(iterable))
 
     def _unroll(self, stmt: ast.For, items: List[Any]) -> None:
+        if not items:
+            self._shadow(stmt.body)
         for item in items:
             self.assign(stmt.target, item)
             try:
                 self.exec_block(stmt.body)
             except _Break:
+                self._shadow(stmt.orelse)
                 break
             except _Continue:
                 continue
@@ -623,16 +734,15 @@ class _Interp:
             self.assign(stmt.target, Unknown(rank_dep=loop_var_dep))
         ops = self._nested(body)
 
-        from repro.analyze.schedule import _has_comm_ops
         if _has_comm_ops(ops):
-            if count is None:
-                self.program.has_unknown_loop = True
             self.emit(Loop(count=count, body=ops, line=stmt.lineno, uniform=uniform))
+        self._shadow(stmt.orelse)
 
     def exec_while(self, stmt: ast.While) -> None:
         test = self.eval(stmt.test)
         if not isinstance(test, (Unknown, RankExpr, RankBool, Record, SymArray)):
             if not test:
+                self._shadow(stmt.body)
                 self.exec_block(stmt.orelse)
                 return
             # A concrete-True while guard cannot be unrolled statically.
@@ -645,7 +755,7 @@ class _Interp:
 
     # -- expressions --------------------------------------------------------
 
-    def eval(self, node: ast.expr, statement: bool = False) -> Any:
+    def eval(self, node: ast.expr) -> Any:
         if isinstance(node, ast.Constant):
             return node.value
         if isinstance(node, ast.Name):
@@ -687,12 +797,17 @@ class _Interp:
                 return joined
             return self.eval(node.body if test else node.orelse)
         if isinstance(node, ast.Call):
-            return self.call(node, statement=statement)
+            return self.call(node)
         if isinstance(node, ast.Subscript):
             return self.subscript(node)
         if isinstance(node, ast.YieldFrom):
             inner = self.eval(node.value)
             if isinstance(inner, _PendingOp):
+                inner.driven = True
+                site = _handle_site(inner.value)
+                if site is not None and site not in self.program.handles:
+                    self.program.handles[site] = Handle(
+                        self.program.sites[site][1], *site)
                 for op in inner.ops:
                     self.emit(op)
                 return inner.value
@@ -705,6 +820,13 @@ class _Interp:
             dep = any(
                 is_rank_dep(self.env[name]) for name in free if name in self.env
             )
+            # Comprehensions cannot yield, so a comm call inside one is
+            # never driven: shadow the elements to record it.
+            elts = [node.key, node.value] if isinstance(node, ast.DictComp) \
+                else [node.elt]
+            targets = [n.id for g in node.generators for n in ast.walk(g.target)
+                       if isinstance(n, ast.Name)]
+            self._shadow([ast.Expr(e) for e in elts], targets)
             return Unknown(rank_dep=dep)
         if isinstance(node, ast.JoinedStr):
             return Unknown(rank_dep=any(
@@ -807,12 +929,7 @@ class _Interp:
     def _rank_binop(self, op: ast.operator, left: Any, right: Any) -> Any:
         fn = _BINOPS[type(op)]
 
-        def lift(v: Any) -> Callable[[int], int]:
-            if isinstance(v, RankExpr):
-                return v.at
-            return lambda r, c=v: c
-
-        lf, rf = lift(left), lift(right)
+        lf, rf = _lift(left), _lift(right)
 
         def compute(r: int) -> int:
             return fn(lf(r), rf(r))
@@ -935,12 +1052,7 @@ class _Interp:
         if both_ranky and type(op) in _CMPOPS:
             fn = _CMPOPS[type(op)]
 
-            def lift(v: Any) -> Callable[[int], int]:
-                if isinstance(v, RankExpr):
-                    return v.at
-                return lambda r, c=v: c
-
-            lf, rf = lift(left), lift(right)
+            lf, rf = _lift(left), _lift(right)
             return RankBool(lambda r: bool(fn(lf(r), rf(r))))
         return Unknown(rank_dep=is_rank_dep(left) or is_rank_dep(right))
 
@@ -1014,19 +1126,43 @@ class _Interp:
 
     # -- calls --------------------------------------------------------------
 
-    def call(self, node: ast.Call, statement: bool = False) -> Any:
+    def call(self, node: ast.Call) -> Any:
         func = node.func
         if any(isinstance(a, ast.Starred) for a in node.args) or any(
             k.arg is None for k in node.keywords
         ):
             for a in node.args:
                 self.eval(a.value if isinstance(a, ast.Starred) else a)
+            callee = self.eval(func)
+            if isinstance(callee, _CommMethod) and callee.name in COMM_COROUTINES:
+                return self._built_at(node, callee,
+                                      _PendingOp([], Unknown(rank_dep=True)))
             return Unknown(rank_dep=False)
         args = [self.eval(a) for a in node.args]
         kwargs = {k.arg: self.eval(k.value) for k in node.keywords if k.arg}
         callee = self.eval(func)
         if isinstance(callee, _CommMethod):
-            return self.comm_call(callee, node, args, kwargs)
+            value = self.comm_call(callee, node, args, kwargs)
+            return self._built_at(node, callee, value)
+        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS and \
+                isinstance(func.value, ast.Name):
+            for arg, value in zip(node.args, args):
+                self._flow(func.value, arg, value)
+            owner = self.env.get(func.value.id)
+            if isinstance(owner, list):
+                # Store into a copy, so snapshots taken by branches and
+                # loops keep the list they saw, and rebind every name
+                # that aliases the list.
+                stored: Any = list(owner)
+                try:
+                    getattr(stored, func.attr)(*args)
+                except (AttributeError, TypeError):
+                    stored = Unknown(rank_dep=is_rank_dep(args))
+                held = self._holds.get(func.value.id, set())
+                for name in [n for n, v in self.env.items() if v is owner]:
+                    self.env[name] = stored
+                    self._holds.setdefault(name, set()).update(held)
+                return None
         if isinstance(callee, _Intrinsic):
             return self.intrinsic(callee.name, node, args, kwargs)
         if isinstance(callee, _ShapePreserver):
@@ -1076,6 +1212,20 @@ class _Interp:
         key = ("call", node.lineno, node.col_offset) if not dep else None
         return Unknown(rank_dep=dep, key=key)
 
+    def _built_at(self, node: ast.Call, method: _CommMethod, value: Any) -> Any:
+        """Record a comm coroutine built at ``node``'s site."""
+        if isinstance(value, _PendingOp):
+            value.site = (node.lineno, node.col_offset)
+            # The communicator as written: the base name of
+            # ``row_comm.bcast`` or ``comm.group(...).bcast``.
+            owner = getattr(node.func, "value", None)
+            while isinstance(owner, (ast.Attribute, ast.Call)):
+                owner = owner.value if isinstance(owner, ast.Attribute) else owner.func
+            text = owner.id if isinstance(owner, ast.Name) else "comm"
+            self.program.sites[value.site] = (text, method.name)
+            self._built.append(value)
+        return value
+
     # -- intrinsics ---------------------------------------------------------
 
     def intrinsic(self, name: str, node: ast.Call, args: List[Any],
@@ -1095,12 +1245,7 @@ class _Interp:
                 for v in args
             ) and args
             if ranky:
-                def lift(v: Any) -> Callable[[int], int]:
-                    if isinstance(v, RankExpr):
-                        return v.at
-                    return lambda r, c=v: c
-
-                fns = [lift(v) for v in args]
+                fns = [_lift(v) for v in args]
                 return _RangeExpr(
                     RankExpr(lambda r, fs=tuple(fns): len(range(*[f(r) for f in fs])))
                 )
@@ -1124,12 +1269,7 @@ class _Interp:
                 for v in args
             )
             if ranky and any(isinstance(v, RankExpr) for v in args):
-                def lift(v: Any) -> Callable[[int], int]:
-                    if isinstance(v, RankExpr):
-                        return v.at
-                    return lambda r, c=v: c
-
-                fns = [lift(v) for v in args]
+                fns = [_lift(v) for v in args]
                 agg = min if name == "min" else max
                 return RankExpr(lambda r, fs=tuple(fns), g=agg: g(f(r) for f in fs))
             return Unknown(rank_dep=dep)
@@ -1251,6 +1391,7 @@ class _Interp:
             return _PendingOp(ops, Unknown(rank_dep=True))
         if name in ("wait", "waitall", "waitany"):
             self.program.has_p2p = True
+            self._consume(node, [*args, *kwargs.values()])
             value: Any = Unknown(rank_dep=True)
             if name == "waitany":
                 value = (Unknown(rank_dep=True), Unknown(rank_dep=True))
@@ -1311,11 +1452,13 @@ class _Interp:
 class _PendingOp:
     """A comm coroutine built but not yet driven by ``yield from``."""
 
-    __slots__ = ("ops", "value")
+    __slots__ = ("ops", "value", "site", "driven")
 
     def __init__(self, ops: List[Any], value: Any):
         self.ops = ops
         self.value = value
+        self.site: Tuple[int, int] = (0, 0)
+        self.driven = False
 
 
 class _CommMethod:
@@ -1351,6 +1494,34 @@ class _RangeExpr:
 
 class _NullContext:
     pass
+
+
+def _lift(value: Any) -> Callable[[int], Any]:
+    """A rank expression, or a constant, as a function of the rank."""
+    if isinstance(value, RankExpr):
+        return value.at
+    return lambda r: value
+
+
+def _handle_site(value: Any) -> Optional[Tuple[int, int]]:
+    """The isend/irecv site of a request handle value, else None."""
+    if isinstance(value, Unknown) and isinstance(value.key, tuple) and \
+            value.key[0] == "handle":
+        return value.key[1:]
+    return None
+
+
+def _handles_in(value: Any) -> Iterator[Tuple[int, int]]:
+    """Sites of the handles in ``value`` and the containers within it."""
+    site = _handle_site(value)
+    if site is not None:
+        yield site
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _handles_in(item)
+    elif isinstance(value, Record):
+        for item in value.fields.values():
+            yield from _handles_in(item)
 
 
 def _wildcardify(value: Any) -> Any:
@@ -1515,8 +1686,18 @@ _ROOTED = frozenset({"bcast", "reduce", "gather", "scatter"})
 def interpret_def(fn: ast.FunctionDef, n_ranks: int, filename: str = "<source>",
                   assume: Optional[Dict[str, Any]] = None) -> SymbolicProgram:
     """Partially evaluate one rank-program definition."""
-    program = _Interp(fn, n_ranks, filename, assume=assume).run()
-    return program
+    return _Interp(fn, n_ranks, filename, assume=assume).run()
+
+
+def program_source(fn: Callable) -> Tuple[str, str, int]:
+    """``(dedented source, file name, first line)`` of a function."""
+    try:
+        source = inspect.getsource(fn)
+        filename = inspect.getsourcefile(fn) or "<source>"
+        _, first_line = inspect.getsourcelines(fn)
+    except (OSError, TypeError) as exc:
+        raise AnalysisError(f"cannot retrieve source for {fn!r}: {exc}") from exc
+    return textwrap.dedent(source), filename, first_line
 
 
 def interpret_source(source: str, n_ranks: int, filename: str = "<source>",
@@ -1545,14 +1726,7 @@ def interpret_program(fn_or_source: Union[Callable, str], n_ranks: int,
         if not programs:
             raise AnalysisError("no rank program found in source")
         return programs[0]
-    try:
-        source = inspect.getsource(fn_or_source)
-        filename = inspect.getsourcefile(fn_or_source) or "<source>"
-        _, first_line = inspect.getsourcelines(fn_or_source)
-    except (OSError, TypeError) as exc:
-        raise AnalysisError(
-            f"cannot retrieve source for {fn_or_source!r}: {exc}"
-        ) from exc
+    source, filename, first_line = program_source(fn_or_source)
     programs = interpret_source(
         source, n_ranks, filename, line_offset=first_line - 1, assume=assume
     )

@@ -317,7 +317,6 @@ def _cmd_lint(args):
     if args.list_rules:
         return "\n".join(
             [f"{r.code} {r.name} ({r.severity}): {r.summary}"
-             + (" [symbolic]" if r.cross_rank else "")
              for r in RULES.values()]
             + [f"{alias} alias of {target} ({RULES[target].name})"
                for alias, target in ALIASES.items()]

@@ -5,6 +5,8 @@ import os
 
 import pytest
 
+from repro.analyze import RULES
+from repro.analyze.registry import ALIASES
 from repro.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -152,9 +154,12 @@ class TestLintJson:
         records = [json.loads(line) for line in out.splitlines() if line]
         assert {r["rule"] for r in records} == {"W007"}
 
-    def test_list_rules_marks_symbolic(self, run_cli):
+    def test_list_rules_lists_every_code_once(self, run_cli):
+        """One line per code; an alias line names its target."""
         code, out, _ = run_cli(["lint", "--list-rules"])
         assert code == 0
+        codes = [line.split()[0] for line in out.splitlines()]
+        assert sorted(codes) == sorted([*RULES, *ALIASES])
         assert "W009 proved-deadlock (warning)" in out
-        w009_line = next(l for l in out.splitlines() if l.startswith("W009"))
-        assert w009_line.endswith("[symbolic]")
+        for alias, target in ALIASES.items():
+            assert f"{alias} alias of {target} ({RULES[target].name})" in out

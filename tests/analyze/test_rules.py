@@ -15,7 +15,7 @@ import pytest
 
 from repro.analyze import RULES, analyze_file, analyze_source, confirm_deadlock
 from repro.analyze.registry import ALIASES
-from repro.analyze.visitor import COMM_COROUTINES
+from repro.analyze.symbolic import COMM_COROUTINES
 from repro.simmpi.comm import Comm
 from repro.simmpi.group import GroupComm
 
@@ -84,6 +84,38 @@ class TestW001Details:
         assert finding.line == 2
         assert "comm.exchange(...)" in finding.message
 
+    @pytest.mark.parametrize(
+        "line, call",
+        [
+            ("    hs = [comm.isend(x, d) for d in range(comm.size)]\n", "comm.isend"),
+            ("    comm.send(*x)\n", "comm.send"),
+            ("    comm.group([0, 1]).bcast(x)\n", "comm.bcast"),
+            ("    def helper():\n        comm.barrier()\n", "comm.barrier"),
+            ("    if comm.size > 8:\n        comm.barrier()\n", "comm.barrier"),
+            (
+                "    try:\n        yield from comm.barrier()\n"
+                "    except RuntimeError:\n        comm.send(None, 0)\n",
+                "comm.send",
+            ),
+            ("    for _ in range(0):\n        comm.barrier()\n", "comm.barrier"),
+            ("    while False:\n        comm.barrier()\n", "comm.barrier"),
+            (
+                "    if comm.size == 8:\n        return\n    comm.barrier()\n",
+                "comm.barrier",
+            ),
+        ],
+    )
+    def test_dropped_call_found_wherever_written(self, line, call):
+        """A comprehension, starred arguments, a chained sub-communicator
+        and a closure over ``comm`` all still drop the coroutine, and so
+        does code the schedule never takes at this world size: an arm
+        behind a ``comm.size`` test, an ``except`` handler, a loop that
+        runs zero times, statements after a ``return``."""
+        src = "def prog(comm, x):\n" + line + "    yield from comm.barrier()\n"
+        (finding,) = analyze_source(src, select="W001")
+        assert finding.line == len(line.splitlines()) + 1
+        assert f"{call}(...)" in finding.message
+
     def test_coroutine_universe_matches_comm_generators(self):
         """W001 knows every public communicator method that returns a
         generator, and nothing else."""
@@ -112,6 +144,37 @@ class TestW002Details:
         findings = analyze_source(src, select="W002")
         assert [f.rule for f in findings] == ["W002"]
         assert "unbound handle" in findings[0].message
+
+    @pytest.mark.parametrize("count", ["comm.size", "steps"])
+    @pytest.mark.parametrize("waited", [True, False])
+    def test_handle_routed_through_pairs_list(self, count, waited):
+        """The nonblocking alltoall's pattern: ``(src, h)`` pairs go into
+        a list and a later loop waits on each ``h``.  The trip count is
+        unrolled (``comm.size``) or opaque (``steps``)."""
+        src = (
+            "def prog(comm, steps):\n"
+            "    pending = []\n"
+            f"    for src in range({count}):\n"
+            "        h = yield from comm.irecv(source=src, tag=0)\n"
+            "        pending.append((src, h))\n"
+            "    for src, h in pending:\n"
+            + ("        yield from comm.wait(h)\n" if waited else "        pass\n")
+        )
+        findings = analyze_source(src, select="W002")
+        assert [f.line for f in findings] == ([] if waited else [4])
+
+    def test_handle_appended_through_an_alias(self):
+        """Appending through one name fills the list every alias sees."""
+        src = (
+            "def prog(comm):\n"
+            "    pending = []\n"
+            "    alias = pending\n"
+            "    h = yield from comm.isend(1, 0)\n"
+            "    alias.append(h)\n"
+            "    for r in pending:\n"
+            "        yield from comm.wait(r)\n"
+        )
+        assert analyze_source(src, select="W002") == []
 
 
 class TestW004Details:
@@ -187,23 +250,72 @@ class TestW006Details:
         (finding,) = analyze_file(fixture_path("W006"), select="W006")
         assert "line 9" in finding.message  # the source-specific rival
 
+    @pytest.mark.parametrize(
+        "first, lines",
+        [
+            ("    first = yield from comm.sendrecv(x, right)\n", []),
+            ("    first = yield from comm.recv()\n", [4]),
+            ("    def first():\n        return (yield from comm.recv())\n", [5]),
+            ("    if comm.size > 8:\n        first = yield from comm.recv()\n", [5]),
+        ],
+    )
+    def test_which_wildcard_receives_race(self, first, lines):
+        """sendrecv's receive is internal to the call, even with its
+        source left as the wildcard; a bare ``recv()`` races the tagged
+        receive, also from a closure over ``comm`` or an arm the schedule
+        does not take at this world size."""
+        src = (
+            "def prog(comm, x):\n"
+            "    right = (comm.rank + 1) % comm.size\n"
+            "    left = (comm.rank - 1) % comm.size\n"
+            + first
+            + "    second = yield from comm.recv(source=left, tag=0)\n"
+        )
+        findings = analyze_source(src, select="W006")
+        assert [f.line for f in findings] == lines
+
+
+class TestW011Details:
+    def test_unevaluable_helper_leaves_the_program_analysed(self):
+        """A ``match`` in a helper closure or a walrus in a comprehension
+        ends only that part's walk: the program keeps the cross-rank
+        verdicts it has without them, and is not reported."""
+        body = (
+            "    yield from comm.send(None, (comm.rank + 1) % comm.size, tag=0)\n"
+            "    yield from comm.recv(source=(comm.rank - 1) % comm.size, tag=1)\n"
+        )
+        helpers = (
+            "    def helper(x):\n"
+            "        match x:\n"
+            "            case 1:\n"
+            "                yield from comm.barrier()\n"
+            "    ys = [(y := x) for x in xs]\n"
+        )
+        plain = analyze_source("def prog(comm, xs):\n" + body, n_ranks=4)
+        shifted = analyze_source(
+            "def prog(comm, xs):\n" + helpers + body, n_ranks=4
+        )
+        assert {f.rule for f in plain} == {"W007"}
+        assert [(f.rule, f.line - 5, f.message) for f in shifted] == [
+            (f.rule, f.line, f.message) for f in plain
+        ]
+
 
 class TestRegistry:
     def test_all_ten_rules_registered(self):
-        """Seven rules plus three aliases cover the ten codes."""
+        """Eight rules plus three aliases cover the codes W001-W011
+        (the name predates W011, the not-analysable report)."""
         assert sorted(RULES) == [
-            "W001", "W002", "W006", "W007", "W008", "W009", "W010",
+            "W001", "W002", "W006", "W007", "W008", "W009", "W010", "W011",
         ]
         assert ALIASES == {"W003": "W008", "W004": "W009", "W005": "W007"}
-        assert CODES == [f"W{n:03d}" for n in range(1, 11)]
+        assert CODES == [f"W{n:03d}" for n in range(1, 12)]
 
-    def test_symbolic_flag_partitions_the_rules(self):
-        """The flag says which pass a rule reads; every alias targets a
-        symbolic rule."""
-        assert {code for code, rule in RULES.items() if rule.cross_rank} == {
-            "W007", "W008", "W009", "W010"
-        }
-        assert all(RULES[target].cross_rank for target in ALIASES.values())
+    def test_codes_are_unique_and_aliases_name_rules(self):
+        """No code is both a rule and an alias, and every alias names a
+        registered rule."""
+        assert not set(RULES) & set(ALIASES)
+        assert set(ALIASES.values()) <= set(RULES)
 
     def test_registry_metadata_complete(self):
         for code, rule in RULES.items():
