@@ -6,15 +6,17 @@ Three workloads behind the ``startup_*``/``halo_1m`` records in
 * ``startup_1m`` -- a 1024x1024 (2^20-rank) Paragon brought up lazily
   under a macro certificate.  Setup builds the seed-stream table, the
   lazy ``CommTable``, and the columnar ``MachineState``; no per-rank
-  Comm/rng/generator frame exists until a rank resumes, and the
-  closed-form replay resumes only rank 0.  The test also asserts that
+  Comm/rng/generator frame exists until a rank resumes, and ghost
+  replay -- selected because the certificate proves the program
+  symmetric -- resumes only rank 0.  The test also asserts that
   setup scales sub-linearly: 64x the ranks of a 16384-rank machine may
   cost at most 16x its setup wall.
 * ``startup_200k`` -- the CI smoke scale: a 500x400 machine brought up
   and run end-to-end, small enough to sit comfortably inside the
   ``timeout 60`` of the ``startup-smoke`` CI step.
-* ``halo_1m`` -- a certified five-step ocean-style halo epoch on the
-  full 2^20-rank torus, priced closed-form with ghost evaluation.  The
+* ``halo_1m`` -- a certified, symmetric five-step ocean-style halo
+  epoch on the full 2^20-rank torus, priced closed-form by ghost
+  replay.  The
   makespan is asserted exactly: it must match the event path bit for
   bit (the A/B equivalence tests prove that at event-tractable scales).
 
@@ -41,8 +43,8 @@ def _bring_up_program(comm, x):
     """The cheapest certifiable world collective: one binomial bcast.
 
     Startup benchmarks want the *setup* clock; the single tree
-    broadcast keeps the priced epoch negligible while still forcing
-    ``run()`` through the full certified closed-form path.
+    broadcast keeps the priced epoch negligible while still sending
+    ``run()`` through certified ghost replay.
     """
     out = yield from comm.bcast(x, root=0, algorithm="tree")
     return out
@@ -55,8 +57,8 @@ def halo_epoch_program(comm, rows, cols, cells, steps):
     (the symbolic interpreter concretises ``grid_halo`` calls), and the
     payloads are the four edge strips of a ``cells x cells`` tile --
     uniform across ranks, so the certificate carries
-    ``uniform_exchange`` and the closed-form replay prices each
-    exchange from rank 0's row alone.
+    ``uniform_exchange`` and ``symmetric``, and ghost replay prices
+    each exchange from rank 0's row alone.
     """
     field = np.zeros((cells, cells))
     spec = grid_halo(rows, cols)
@@ -88,7 +90,7 @@ def _lazy_setup(n_rows, n_cols, repeats=SETUP_BEST_OF):
     best_setup = best_wall = float("inf")
     res = None
     for _ in range(repeats):
-        engine = Engine(machine, p, certificate=cert, closed_form=True)
+        engine = Engine(machine, p, certificate=cert)
         t0 = time.perf_counter()
         res = engine.run(_bring_up_program, 3.5)
         best_wall = min(best_wall, time.perf_counter() - t0)
@@ -163,8 +165,8 @@ def test_bench_halo_1m(bench_record):
             "steps": _HALO_STEPS,
         },
     )
-    assert cert.uniform_exchange
-    engine = Engine(machine, p, certificate=cert, closed_form=True)
+    assert cert.uniform_exchange and cert.symmetric
+    engine = Engine(machine, p, certificate=cert)
     t0 = time.perf_counter()
     res = engine.run(
         halo_epoch_program, 1024, 1024, _HALO_CELLS, _HALO_STEPS

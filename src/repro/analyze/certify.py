@@ -28,7 +28,12 @@ the whole run.  Certification requires, over the whole schedule tree:
 
 The certificate additionally records whether every exchange payload was
 proved *uniform* (rank-independent shape), which lets
-:mod:`repro.simmpi.stencil` skip its per-member size scan.
+:mod:`repro.simmpi.stencil` skip its per-member size scan, and whether
+the program is *symmetric*: no rank-dependent value reaches a branch or
+loop test, a compute argument, a collective or exchange argument, or
+the return value; every collective is on the world communicator; and no
+exchange maps a rank onto itself.  Then every rank computes what rank 0
+computes, and the engine prices the run by replaying rank 0 alone.
 
 Certificates are advisory but verified: :meth:`MacroCertificate.matches`
 binds to the SHA-256 of the program's source and the world size, so a
@@ -88,6 +93,9 @@ class MacroCertificate:
     exchanges: Tuple[Tuple[int, bool], ...] = ()
     #: Every exchange payload proved rank-independent in shape.
     uniform_exchange: bool = False
+    #: Every rank provably yields rank 0's requests and returns rank
+    #: 0's value (the engine's ghost-replay precondition).
+    symmetric: bool = False
     #: Parameter values assumed during interpretation, as sorted
     #: ``(name, repr)`` pairs -- the caller must honour them.
     assume: Tuple[Tuple[str, str], ...] = ()
@@ -110,6 +118,7 @@ class MacroCertificate:
             "collectives": [list(c) for c in self.collectives],
             "exchanges": [list(e) for e in self.exchanges],
             "uniform_exchange": self.uniform_exchange,
+            "symmetric": self.symmetric,
             "assume": [list(a) for a in self.assume],
         }
 
@@ -118,9 +127,13 @@ def _check_ops(
     ops: List[Any],
     collectives: List[Tuple[int, str, Optional[str]]],
     exchanges: List[Tuple[int, bool]],
-) -> None:
+) -> bool:
+    """Refuse, or record the call sites; returns whether every
+    collective is on the world communicator and no exchange spec maps a
+    rank onto itself."""
     from repro.analyze.symbolic import MACRO_ELIGIBLE
 
+    symmetric = True
     for op in ops:
         if isinstance(op, (SendOp, RecvOp, WaitOp)):
             raise CertificationError(
@@ -136,6 +149,7 @@ def _check_ops(
                     "later collectives"
                 )
             collectives.append((op.line, op.kind, op.algorithm))
+            symmetric &= op.world
         elif isinstance(op, ExchangeOp):
             if op.spec is None:
                 raise CertificationError(
@@ -143,21 +157,23 @@ def _check_ops(
                     "StencilSpec"
                 )
             exchanges.append((op.line, op.uniform))
+            symmetric &= not op.spec.self_peer
         elif isinstance(op, Branch):
             if op.test is not None or not op.uniform:
                 raise CertificationError(
                     f"line {op.line}: communication under a rank-dependent "
                     "or opaque branch; ranks may disagree on the op sequence"
                 )
-            _check_ops(op.body, collectives, exchanges)
-            _check_ops(op.orelse, collectives, exchanges)
+            symmetric &= _check_ops(op.body, collectives, exchanges)
+            symmetric &= _check_ops(op.orelse, collectives, exchanges)
         elif isinstance(op, Loop):
             if not op.uniform:
                 raise CertificationError(
                     f"line {op.line}: communication inside a loop with a "
                     "rank-dependent trip count"
                 )
-            _check_ops(op.body, collectives, exchanges)
+            symmetric &= _check_ops(op.body, collectives, exchanges)
+    return symmetric
 
 
 def certify_program(program: SymbolicProgram, source_sha: str,
@@ -179,7 +195,7 @@ def certify_program(program: SymbolicProgram, source_sha: str,
         )
     collectives: List[Tuple[int, str, Optional[str]]] = []
     exchanges: List[Tuple[int, bool]] = []
-    _check_ops(program.ops, collectives, exchanges)
+    symmetric = _check_ops(program.ops, collectives, exchanges)
     if not collectives and not exchanges:
         raise CertificationError(
             "program performs no certifiable communication; a certificate "
@@ -192,6 +208,7 @@ def certify_program(program: SymbolicProgram, source_sha: str,
         collectives=tuple(collectives),
         exchanges=tuple(exchanges),
         uniform_exchange=bool(exchanges) and all(u for _, u in exchanges),
+        symmetric=symmetric and not program.asymmetric,
         assume=tuple(sorted((k, repr(v)) for k, v in (assume or {}).items())),
     )
 

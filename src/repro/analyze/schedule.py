@@ -193,6 +193,11 @@ class SymbolicProgram:
     #: Some comm op sits under an opaque or rank-dependent-undecidable
     #: guard (certification must refuse; matchers skip).
     has_guarded_ops: bool = False
+    #: Ranks may differ in more than their rank: a rank-dependent value
+    #: reaches a branch or loop test, a compute or communication
+    #: argument, or the return value; or an opaque generator is driven,
+    #: or an exception handler may run on some ranks only.
+    asymmetric: bool = False
 
 
 # ---------------------------------------------------------------------------

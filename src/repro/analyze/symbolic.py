@@ -27,9 +27,10 @@ Value domain
 * :class:`Unknown` -- an opaque value; ``rank_dep`` records whether it
   can differ across ranks, and structural ``key``\\ s make two mentions
   of the same source (``config.ny``) comparable;
-* :class:`SymArray` -- an array known only by its symbolic shape, the
+* :class:`SymArray` -- an array known by its symbolic shape, the
   carrier of uniform-payload proofs (``x[:1, :]`` has a
-  rank-independent first extent even when ``x`` does not);
+  rank-independent first extent even when ``x`` does not), plus a
+  separate bit for contents that can differ across ranks;
 * :class:`Record` -- the result of an unknown constructor called with
   keyword arguments (``OceanState(h=..., u=..., v=...)``), so field
   access keeps the fields' abstract values.
@@ -174,13 +175,17 @@ class Unknown:
 
 
 class SymArray:
-    """An array known only by its symbolic shape (per-axis extents)."""
+    """An array known by its symbolic shape (per-axis extents) and
+    whether its contents can differ across ranks (``rank_dep``; the
+    extents alone decide :func:`uniform_shape`)."""
 
-    __slots__ = ("dims", "key")
+    __slots__ = ("dims", "key", "rank_dep")
 
-    def __init__(self, dims: Tuple[Any, ...], key: Any = None):
+    def __init__(self, dims: Tuple[Any, ...], key: Any = None,
+                 rank_dep: bool = False):
         self.dims = dims
         self.key = key
+        self.rank_dep = rank_dep
 
     def __repr__(self) -> str:
         return f"<array {self.dims!r}>"
@@ -227,9 +232,11 @@ def is_rank_dep(value: Any) -> bool:
     if isinstance(value, Record):
         return value.rank_dep
     if isinstance(value, SymArray):
-        return any(is_rank_dep(d) for d in value.dims)
+        return value.rank_dep or any(is_rank_dep(d) for d in value.dims)
     if isinstance(value, (tuple, list)):
         return any(is_rank_dep(v) for v in value)
+    if isinstance(value, slice):
+        return is_rank_dep((value.start, value.stop, value.step))
     if isinstance(value, _RangeExpr):
         return is_rank_dep(value.count)
     return False
@@ -257,7 +264,8 @@ def structural_key(value: Any) -> Any:
         return None if any(p is None for p in parts) else ("tuple", parts)
     if isinstance(value, SymArray):
         parts = tuple(structural_key(d) for d in value.dims)
-        return None if any(p is None for p in parts) else ("arr", value.key, parts)
+        return None if any(p is None for p in parts) else (
+            "arr", value.key, parts, value.rank_dep)
     return None
 
 
@@ -272,7 +280,8 @@ def join(a: Any, b: Any) -> Any:
         b.dims
     ):
         dims = tuple(join(da, db) for da, db in zip(a.dims, b.dims))
-        return SymArray(dims, key=a.key if a.key == b.key else None)
+        return SymArray(dims, key=a.key if a.key == b.key else None,
+                        rank_dep=a.rank_dep or b.rank_dep)
     if isinstance(a, Record) and isinstance(b, Record):
         fields = {
             name: join(a.fields[name], b.fields[name])
@@ -365,6 +374,12 @@ class _Interp:
     def emit(self, op: Any) -> None:
         self._op_stack[-1].append(op)
 
+    def _taint(self, *values: Any) -> None:
+        """``values`` reach control flow, compute, communication or the
+        return value: any that can differ across ranks breaks symmetry."""
+        if any(is_rank_dep(v) for v in values):
+            self.program.asymmetric = True
+
     def _nested(self, body: Callable[[], None]) -> List[Any]:
         """Run ``body`` with emissions redirected to a fresh list."""
         ops: List[Any] = []
@@ -435,7 +450,9 @@ class _Interp:
             self.exec_block(stmt.body)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self._consume(stmt.value, self.eval(stmt.value))
+                value = self.eval(stmt.value)
+                self._consume(stmt.value, value)
+                self._taint(value)
             raise _Return()
         elif isinstance(stmt, ast.Raise):
             raise _Raise()
@@ -449,7 +466,8 @@ class _Interp:
         elif isinstance(stmt, ast.Try):
             # Exceptional control flow is outside the model: the body,
             # else and finally run in order (fail open on raise), and
-            # the handlers are shadowed.
+            # the handlers are shadowed -- they may run on some ranks only.
+            self.program.asymmetric |= bool(stmt.handlers)
             try:
                 self.exec_block(stmt.body)
             except (_Return, _Raise, _Break, _Continue):
@@ -537,7 +555,7 @@ class _Interp:
         if not stmts:
             return
         program, env = self.program, dict(self.env)
-        flags = program.has_p2p, program.has_guarded_ops
+        flags = program.has_p2p, program.has_guarded_ops, program.asymmetric
         for name in names:
             self.env[name] = Unknown(rank_dep=False, key=("param", name))
 
@@ -551,7 +569,7 @@ class _Interp:
             program.shadow_ops.extend(self._nested(body))
         finally:
             self.env = env
-            program.has_p2p, program.has_guarded_ops = flags
+            program.has_p2p, program.has_guarded_ops, program.asymmetric = flags
 
     def eval_target_value(self, target: ast.expr) -> Any:
         try:
@@ -576,6 +594,7 @@ class _Interp:
         """Execute an ``if``; True when the suite continuation ``rest``
         was consumed into a branch arm (caller must stop)."""
         test = self.eval(stmt.test)
+        self._taint(test)
         if isinstance(test, (RankExpr, RankBool)):
             rb = test if isinstance(test, RankBool) else RankBool(
                 lambda r, e=test: bool(e.at(r))
@@ -732,6 +751,14 @@ class _Interp:
         self.env = widened
         if isinstance(stmt, ast.For):
             self.assign(stmt.target, Unknown(rank_dep=loop_var_dep))
+        else:
+            # The test runs again every trip: read it over the widened
+            # environment, where loop-carried rank dependence shows.
+            test: ast.expr = stmt.test
+            tests: List[Any] = []
+            self._nested(lambda: tests.append(self.eval(test)))
+            uniform = uniform and not is_rank_dep(tests[0])
+        self.program.asymmetric |= not uniform
         ops = self._nested(body)
 
         if _has_comm_ops(ops):
@@ -776,6 +803,7 @@ class _Interp:
             return self.compare(node)
         if isinstance(node, ast.IfExp):
             test = self.eval(node.test)
+            self._taint(test)
             if isinstance(test, (Unknown, Record, SymArray)):
                 return join(self.eval(node.body), self.eval(node.orelse))
             if isinstance(test, (RankExpr, RankBool)):
@@ -811,6 +839,7 @@ class _Interp:
                 for op in inner.ops:
                     self.emit(op)
                 return inner.value
+            self.program.asymmetric = True  # an opaque generator
             return Unknown(rank_dep=True)
         if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp,
                              ast.DictComp)):
@@ -842,6 +871,7 @@ class _Interp:
         if isinstance(node, ast.Starred):
             return self.eval(node.value)
         if isinstance(node, (ast.Lambda, ast.Dict, ast.Set, ast.Await, ast.Yield)):
+            self.program.asymmetric |= isinstance(node, ast.Yield)
             return Unknown(rank_dep=False)
         raise Unsupported(f"unsupported expression {type(node).__name__}")
 
@@ -862,6 +892,8 @@ class _Interp:
                 return Unknown(rank_dep=True, key=None)
             if attr == "size":
                 return self.n if owner.world else Unknown(rank_dep=False)
+            if attr == "rng":
+                return Unknown(rank_dep=True)  # each rank's own stream
             return _CommMethod(owner, attr)
         if isinstance(owner, Record):
             if attr in owner.fields:
@@ -878,7 +910,8 @@ class _Interp:
             if attr in ("copy", "astype"):
                 return _ShapePreserver(owner)
             key = (owner.key, ".", attr) if owner.key is not None else None
-            return Unknown(rank_dep=is_rank_dep(owner), key=key)
+            dep = is_rank_dep(owner.dims if attr in _SHAPE_ATTRS else owner)
+            return Unknown(rank_dep=dep, key=key)
         # A real object (assumed parameter, StencilSpec, module, ...).
         try:
             value = getattr(owner, attr)
@@ -912,19 +945,20 @@ class _Interp:
                 rank_l and rank_r and type(op) in _BINOPS:
             return self._rank_binop(op, left, right)
         # Elementwise array arithmetic preserves the known shape.
+        dep = is_rank_dep(left) or is_rank_dep(right)
         if isinstance(op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
             if isinstance(left, SymArray) and isinstance(right, SymArray):
                 if len(left.dims) == len(right.dims):
                     dims = tuple(
                         join(da, db) for da, db in zip(left.dims, right.dims)
                     )
-                    return SymArray(dims, key=None)
-                return Unknown(rank_dep=is_rank_dep(left) or is_rank_dep(right))
+                    return SymArray(dims, key=None, rank_dep=dep)
+                return Unknown(rank_dep=dep)
             if isinstance(left, SymArray):
-                return SymArray(left.dims, key=None)
+                return SymArray(left.dims, key=None, rank_dep=dep)
             if isinstance(right, SymArray):
-                return SymArray(right.dims, key=None)
-        return Unknown(rank_dep=is_rank_dep(left) or is_rank_dep(right))
+                return SymArray(right.dims, key=None, rank_dep=dep)
+        return Unknown(rank_dep=dep)
 
     def _rank_binop(self, op: ast.operator, left: Any, right: Any) -> Any:
         fn = _BINOPS[type(op)]
@@ -980,6 +1014,7 @@ class _Interp:
 
     def boolop(self, node: ast.BoolOp) -> Any:
         values = [self.eval(v) for v in node.values]
+        self._taint(*values[:-1])  # each decides whether the next runs
         if all(_is_concrete_scalar(v) or v is None or isinstance(v, str)
                for v in values):
             if isinstance(node.op, ast.And):
@@ -1083,22 +1118,21 @@ class _Interp:
                     )
                 return Unknown(rank_dep=True)
             return Unknown(rank_dep=is_rank_dep(owner) or is_rank_dep(index))
-        if isinstance(owner, SymArray):
-            return self._slice_dims(owner.dims, index, base_key=owner.key,
-                                    base_dep=False)
-        if isinstance(owner, (Unknown, Record)):
-            base_key = owner.key if isinstance(owner, Unknown) else None
-            return self._slice_dims(None, index, base_key=base_key,
-                                    base_dep=is_rank_dep(owner))
+        if isinstance(owner, (SymArray, Unknown, Record)):
+            return self._slice_dims(owner, index)
         return Unknown(rank_dep=is_rank_dep(owner) or is_rank_dep(index))
 
-    def _slice_dims(self, dims: Optional[Tuple[Any, ...]], index: Any,
-                    base_key: Any, base_dep: bool) -> Any:
+    def _slice_dims(self, owner: Union[SymArray, Unknown, Record],
+                    index: Any) -> Any:
         """Abstract array subscript: build/refine symbolic extents."""
+        dims = owner.dims if isinstance(owner, SymArray) else None
+        base_key = None if isinstance(owner, Record) else owner.key
+        base_dep = dims is None and is_rank_dep(owner)
+        content_dep = is_rank_dep(owner) or is_rank_dep(index)
         items = list(index) if isinstance(index, tuple) else [index]
         if not all(isinstance(i, slice) or _is_concrete_scalar(i) or
                    isinstance(i, (RankExpr, Unknown)) for i in items):
-            return Unknown(rank_dep=base_dep or is_rank_dep(index))
+            return Unknown(rank_dep=content_dep)
         out_dims: List[Any] = []
         for axis, item in enumerate(items):
             if not isinstance(item, slice):
@@ -1122,7 +1156,7 @@ class _Interp:
                 out_dims.append(Unknown(rank_dep=dep))
         if dims is not None and len(items) < len(dims):
             out_dims.extend(dims[len(items):])
-        return SymArray(tuple(out_dims), key=base_key)
+        return SymArray(tuple(out_dims), key=base_key, rank_dep=content_dep)
 
     # -- calls --------------------------------------------------------------
 
@@ -1135,13 +1169,21 @@ class _Interp:
                 self.eval(a.value if isinstance(a, ast.Starred) else a)
             callee = self.eval(func)
             if isinstance(callee, _CommMethod) and callee.name in COMM_COROUTINES:
+                self.program.asymmetric = True  # arguments not seen
                 return self._built_at(node, callee,
                                       _PendingOp([], Unknown(rank_dep=True)))
             return Unknown(rank_dep=False)
         args = [self.eval(a) for a in node.args]
         kwargs = {k.arg: self.eval(k.value) for k in node.keywords if k.arg}
         callee = self.eval(func)
+        # An opaque callee handed the communicator can read its rank.
+        dep = is_rank_dep(callee) or any(
+            is_rank_dep(v) or isinstance(v, CommVal)
+            for v in [*args, *kwargs.values()]
+        )
         if isinstance(callee, _CommMethod):
+            if callee.name in COMM_COROUTINES:  # times, payloads, roots
+                self._taint(*args, *kwargs.values())
             value = self.comm_call(callee, node, args, kwargs)
             return self._built_at(node, callee, value)
         if isinstance(func, ast.Attribute) and func.attr in _MUTATORS and \
@@ -1166,7 +1208,8 @@ class _Interp:
         if isinstance(callee, _Intrinsic):
             return self.intrinsic(callee.name, node, args, kwargs)
         if isinstance(callee, _ShapePreserver):
-            return SymArray(callee.array.dims, key=callee.array.key)
+            return SymArray(callee.array.dims, key=callee.array.key,
+                            rank_dep=callee.array.rank_dep or dep)
         if isinstance(callee, _Callable):
             if all(_is_real(v) for v in args) and all(
                 _is_real(v) for v in kwargs.values()
@@ -1175,11 +1218,7 @@ class _Interp:
                     return _wrap_real(callee.fn(*args, **kwargs))
                 except Exception:
                     return Unknown(rank_dep=False)
-            return Unknown(
-                rank_dep=any(is_rank_dep(v) for v in args) or any(
-                    is_rank_dep(v) for v in kwargs.values()
-                )
-            )
+            return Unknown(rank_dep=dep)
         if callable(callee) and isinstance(callee, type):
             if all(_is_real(v) for v in args) and all(
                 _is_real(v) for v in kwargs.values()
@@ -1192,11 +1231,8 @@ class _Interp:
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
         )
-        dep = any(is_rank_dep(v) for v in args) or any(
-            is_rank_dep(v) for v in kwargs.values()
-        )
         if name in _SHAPE_PRESERVING and args and isinstance(args[0], SymArray):
-            return SymArray(args[0].dims, key=None)
+            return SymArray(args[0].dims, key=None, rank_dep=dep)
         if name in _STACKING and args and isinstance(args[0], (list, tuple)):
             parts = args[0]
             arrays = [p for p in parts if isinstance(p, SymArray)]
@@ -1204,7 +1240,7 @@ class _Interp:
                 head = arrays[0]
                 dim0 = Unknown(rank_dep=any(is_rank_dep(p) for p in parts))
                 rest = tuple(head.dims[1:])
-                return SymArray((dim0,) + rest, key=None)
+                return SymArray((dim0,) + rest, key=None, rank_dep=dep)
             return Unknown(rank_dep=dep)
         if kwargs and not args and name is not None and name[:1].isupper():
             # Constructor idiom: Klass(field=value, ...) -- keep fields.
@@ -1250,6 +1286,9 @@ class _Interp:
                     RankExpr(lambda r, fs=tuple(fns): len(range(*[f(r) for f in fs])))
                 )
             return Unknown(rank_dep=dep)
+        if name == "len" and args and isinstance(args[0], SymArray) and \
+                args[0].dims:
+            return args[0].dims[0]
         if name in ("len", "abs", "int", "float", "bool", "sum", "sorted",
                     "list", "tuple", "set", "str", "enumerate", "zip",
                     "divmod", "round"):
@@ -1536,8 +1575,8 @@ def _wildcardify(value: Any) -> Any:
 def _collective_result(kind: str, line: int, col: int) -> Any:
     if kind == "barrier":
         return None
-    if kind in ("bcast", "allreduce", "allgather", "alltoall"):
-        # Same value on every rank (allgather/alltoall: same list shape).
+    if kind in ("bcast", "allreduce", "allgather"):
+        # Same value on every rank (alltoall hands each rank its column).
         return Unknown(rank_dep=False, key=(kind, line, col))
     return Unknown(rank_dep=True)
 
@@ -1649,6 +1688,9 @@ _SHAPE_PRESERVING = frozenset({
 })
 
 _STACKING = frozenset({"vstack", "hstack", "stack", "concatenate"})
+
+#: Array attributes read off the extents, never the contents.
+_SHAPE_ATTRS = frozenset({"size", "ndim", "nbytes", "dtype"})
 
 _COLLECTIVE_SIGNATURES: Dict[str, Tuple[str, ...]] = {
     "barrier": (),

@@ -136,9 +136,9 @@ def summa(
     forces collectives through the per-message event cascade.
     ``certificate`` passes a
     :class:`~repro.analyze.certify.MacroCertificate` through to the
-    engine; the certificate's recorded ``overlap`` assumption must
-    match this call's (``bundled_certificate("summa", p, overlap=...)``
-    proves either variant -- both ``"tree"`` and the pipelined
+    engine, which refuses one whose recorded ``overlap`` assumption
+    differs from this call's (``bundled_certificate("summa", p,
+    overlap=...)`` proves either variant -- both ``"tree"`` and the pipelined
     ``"tree_nb"`` broadcasts evaluate in closed form).
     """
     if grid.size > machine.n_nodes:
@@ -147,15 +147,6 @@ def summa(
         )
     if panel < 1:
         raise DecompositionError(f"panel must be >= 1, got {panel}")
-    if certificate is not None:
-        assumed = dict(certificate.assume).get("overlap")
-        if assumed is not None and assumed != repr(overlap):
-            raise DecompositionError(
-                f"macro certificate was proved under overlap={assumed}; "
-                f"this run requests overlap={overlap!r} -- certify the "
-                "matching variant (bundled_certificate('summa', p, "
-                "overlap=...))"
-            )
     engine = Engine(
         machine,
         grid.size,

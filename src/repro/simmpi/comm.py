@@ -470,7 +470,7 @@ class CommTable:
     built the first time that rank is resumed.  Engine-level flags set
     before the run (tracing, macro-ops) are applied at materialization,
     so when a Comm is built never changes how it behaves.
-    Under a macro certificate or a closed-form run, ranks that are never
+    Under ghost replay (a symmetric macro certificate), ranks that are never
     resumed never get a Comm (or an rng, or a generator frame) at all --
     their clocks and stats live in the columnar ``MachineState``.
     """

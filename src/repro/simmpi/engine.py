@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import inspect
 from time import perf_counter
 
 import numpy as np
@@ -120,8 +121,8 @@ class SimResult:
     returns: List[Any]
     #: Virtual makespan: the latest rank finish time, seconds.
     time: float
-    #: Per-rank accounting.  Event-path runs hold a real list; a lazy
-    #: closed-form run holds a column-backed
+    #: Per-rank accounting.  Event-path runs hold a real list; a
+    #: ghost-replay run holds a column-backed
     #: :class:`~repro.simmpi.state.LazyRankStats` (same len/index/``==``
     #: behaviour, rows built on access).
     stats: Sequence[RankStats]
@@ -241,29 +242,22 @@ class Engine:
         program this engine will run.  The certificate's static proof
         (no point-to-point traffic, every collective macro-eligible)
         lets ``run()`` skip the per-member soundness probe on every
-        macro invocation.  Validated against the program's source hash
-        and the rank count at ``run()`` time: a stale or mismatched
-        certificate raises :class:`ConfigurationError` rather than
-        being silently trusted.  Ignored when macro-ops are disabled
-        for the run (tracing, contention, faults) -- the event path
-        needs no probe.
-    closed_form:
-        Run the whole program as a closed-form *ghost replay* (default
-        off): only rank 0's generator is driven, compute requests
-        charge every rank's clock in one vectorized operation, and each
-        world collective or declared stencil exchange is priced by the
-        macro evaluator from synthesized per-rank requests.  Requires a
-        validated ``certificate`` and macro-ops effectively enabled
-        (untraced, alpha-beta delivery, no faults);
-        the program must be rank-symmetric -- every rank yields the
-        same request sequence with payloads of identical wire size (the
-        certificate's static proof covers the no-p2p part, and payload
-        synthesis from rank 0 makes virtual time exact whenever sizes
-        are uniform).  Point-to-point requests, group collectives, and
-        analytic-evaluation bailouts raise :class:`SimulationError`
-        instead of silently degrading.  ``returns`` carries rank 0's
-        value only; most ranks never materialize at all, which is what
-        makes 10^6-rank machines affordable.
+        macro invocation.  Validated against the program's source hash,
+        the rank count and the parameter values it assumed at ``run()``
+        time: a stale or mismatched certificate raises
+        :class:`ConfigurationError` rather than being silently trusted.
+        Ignored when macro-ops are disabled for the run (tracing,
+        contention, faults) -- the event path needs no probe.
+        A ``symmetric`` certificate proves every rank yields rank 0's
+        requests and returns rank 0's value; then, with macro-ops
+        enabled and every message eager (the default threshold),
+        ``run()`` prices the program by *ghost replay*: only rank 0's
+        generator is driven, a compute request charges every rank's
+        clock in one vectorized operation, and each world collective or
+        stencil exchange is priced by the macro evaluator from rank 0's
+        request.  Time, stats and returns equal the event path's; most
+        ranks never materialize, which is what makes 10^6-rank machines
+        affordable.
     """
 
     def __init__(
@@ -280,7 +274,6 @@ class Engine:
         delivery: Union[str, DeliveryModel] = "alphabeta",
         macro_ops: bool = True,
         certificate: Optional[Any] = None,
-        closed_form: bool = False,
     ):
         self.machine = machine
         self.n_ranks = machine.n_nodes if n_ranks is None else n_ranks
@@ -311,18 +304,6 @@ class Engine:
         self.delivery = resolve_delivery(delivery)
         self.macro_ops = macro_ops
         self.certificate = certificate
-        self.closed_form = closed_form
-        if closed_form:
-            if certificate is None:
-                raise ConfigurationError(
-                    "closed_form runs require a MacroCertificate "
-                    "(certify_macro() the program first)"
-                )
-            if trace or fail_at or not macro_ops:
-                raise ConfigurationError(
-                    "closed_form runs require macro-ops: no tracing, no "
-                    "fault injection, macro_ops=True"
-                )
         self.fail_at = dict(fail_at) if fail_at else {}
         for rank, when in self.fail_at.items():
             if not 0 <= rank < self.n_ranks:
@@ -468,7 +449,7 @@ class _Run:
         self._plans: Dict[tuple, Any] = {}
         self._plan_pairs = 0
         # World member tuple, built on first use: O(p) to construct, so
-        # bring-up does not pay for it (closed-form runs build it once,
+        # bring-up does not pay for it (ghost replay builds it once,
         # pure point-to-point runs never do).
         self._world_members: Optional[tuple] = None
         # Macro-eligibility certificate state (armed in execute() once
@@ -1197,6 +1178,16 @@ class _Run:
                     f"run: program source or rank count changed since "
                     "certification -- re-run certify_macro()"
                 )
+            bound = inspect.signature(program).bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            for name, assumed in certificate.assume:
+                value = bound.arguments.get(name)
+                if name in bound.arguments and repr(value) != assumed:
+                    raise ConfigurationError(
+                        f"macro certificate assumed {name}={assumed}; this "
+                        f"run passes {name}={value!r} -- certify the "
+                        "matching variant"
+                    )
             if self._macro_enabled:
                 self._cert_pure = True
                 self._cert_uniform = certificate.uniform_exchange
@@ -1214,13 +1205,9 @@ class _Run:
         self._program = program
         self._args = args
         self._kwargs = kwargs
-        if engine.closed_form:
-            if not self._macro_enabled:
-                raise ConfigurationError(
-                    "closed_form run with macro-ops disabled: the "
-                    "delivery model must be plain alpha-beta"
-                )
-            return self._execute_closed_form(setup_t0)
+        if self._cert_pure and certificate.symmetric and \
+                self._eager_max == float("inf"):
+            return self._execute_ghost(setup_t0)
         resumes = self.resumes
 
         returns: List[Any] = [None] * p
@@ -1416,25 +1403,24 @@ class _Run:
             ranks_materialized=self.comms.materialized,
         )
 
-    # -- closed-form ghost replay --------------------------------------------
+    # -- ghost replay ---------------------------------------------------------
 
-    def _execute_closed_form(self, setup_t0: float) -> SimResult:
+    def _execute_ghost(self, setup_t0: float) -> SimResult:
         """Drive rank 0's generator only; price every other rank through
         the columns and the macro evaluator ("ghost replay").
 
         The certificate proves the program is pure collective/compute
-        (no point-to-point, every collective macro-eligible); the
-        caller asserts the program is additionally *rank-symmetric* --
-        every rank yields the same request sequence with payloads of
-        identical wire size.  Under those conditions a compute burst is
-        one vectorized column charge (the same IEEE additions the
-        per-rank handler would make), and a collective's entry clocks
-        are exactly the clocks the previous macro commit left in the
-        columns, so makespans and per-rank stats are bit-identical to
-        the event path (asserted in the A/B suite).  Received payloads
-        are synthesized from rank 0's (sizes are what price the run),
-        and only rank 0's return value is observable.  p-1 ranks never
-        materialize a Comm, rng, RankState, or generator frame.
+        (no point-to-point, every collective macro-eligible) and
+        *symmetric* -- every rank yields rank 0's request sequence, with
+        rank 0's payload values, and returns rank 0's value.  Then a
+        compute burst is one vectorized column charge (the same IEEE
+        additions the per-rank handler would make), and a collective's
+        entry clocks are exactly the clocks the previous macro commit
+        left in the columns, so makespans, per-rank stats and returns
+        are bit-identical to the event path (asserted in the A/B suite).
+        p-1 ranks never materialize a Comm, rng, RankState, or generator
+        frame.  The guards below catch what the proof cannot see: a
+        helper the program calls is not part of its source hash.
         """
         engine = self.engine
         p = engine.n_ranks
@@ -1484,9 +1470,8 @@ class _Run:
             elif cls is CollectiveReq:
                 if request.members is not None:
                     raise SimulationError(
-                        "closed-form run yielded a group collective; only "
-                        "world collectives are rank-symmetric -- run this "
-                        "program without closed_form"
+                        "ghost replay yielded a group collective; only "
+                        "world collectives are rank-symmetric"
                     )
                 # No evaluator reads the per-member request beyond its
                 # op/value/algorithm fields, which are identical across
@@ -1501,22 +1486,18 @@ class _Run:
                     raise SimulationError(
                         f"collective {request.kind}/{request.algorithm} is "
                         "not analytically exact here (rendezvous inside a "
-                        "cyclic pattern, or an unsupported schedule) -- run "
-                        "without closed_form"
+                        "cyclic pattern, or an unsupported schedule)"
                     )
                 value = result[1][0]
             else:
                 raise SimulationError(
-                    f"closed-form run yielded {request!r}; only compute and "
-                    "world collectives are certifiable -- run without "
-                    "closed_form"
+                    f"ghost replay yielded {request!r}; only compute and "
+                    "world collectives are certifiable"
                 )
         ms.finished[:] = True
         np.copyto(ms.finish_time, ms.clock)
-        returns: List[Any] = [None] * p
-        returns[0] = r0
         return SimResult(
-            returns=returns,
+            returns=[r0] * p,
             time=ms.makespan(),
             # Column-backed lazy sequence: a 10^6-rank result should not
             # pay for a million RankStats objects nobody may read.

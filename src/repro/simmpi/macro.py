@@ -823,22 +823,17 @@ def _eval_exchange(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> Lis
     destinations.  Raises ``_Bail`` on irregular payload sizes,
     rendezvous-sized payloads, or self-peers.
 
-    ``ghost`` (closed-form engine): every entry of ``reqs`` is the same
+    ``ghost`` (ghost replay): every entry of ``reqs`` is the same
     request object, so rank 0's payloads size every column, and only
     rank 0's delivered row is assembled -- the O(p) per-member column
     scans and delivery copies collapse to O(offsets).
     """
     spec = reqs[0].algorithm
-    offsets = spec.offsets
-    shape = spec.shape
-    k = len(offsets)
-    if spec.wrap:
-        for off in offsets:
-            if all(o % sd == 0 for o, sd in zip(off, shape)):
-                # The offset maps every rank onto itself: self-sends
-                # have zero injection overhead, which the constant-
-                # overhead round primitive cannot express.
-                raise _Bail
+    k = len(spec.offsets)
+    if spec.self_peer:
+        # Self-sends have zero injection overhead, which the constant-
+        # overhead round primitive cannot express.
+        raise _Bail
     vals: Optional[List[Any]] = None if ghost else [req.value for req in reqs]
     v0 = reqs[0].value
     nb: List[int] = []
@@ -958,14 +953,13 @@ def evaluate(
     ``None`` when the schedule cannot be reproduced exactly (the caller
     then falls back to the event path; nothing observable was mutated).
 
-    ``ghost`` is the closed-form engine's contract: every entry of
-    ``reqs`` is the *same* request object (a rank-symmetric program
-    priced from rank 0's yields) and only group rank 0's result is
-    observable, so evaluators that would otherwise materialize one
-    delivered payload per member (exchange, tree broadcasts, barrier)
-    return a single-element list instead -- identical pricing, O(1)
-    result assembly.  The remaining evaluators ignore the flag and
-    return all p values.
+    ``ghost`` is ghost replay's contract: every entry of ``reqs`` is
+    the *same* request object (a symmetric program priced from rank 0's
+    yields) and only group rank 0's result is read, so evaluators that
+    would otherwise materialize one delivered payload per member
+    (exchange, tree broadcasts, barrier) return a single-element list
+    instead -- identical pricing, O(1) result assembly.  The remaining
+    evaluators ignore the flag and return all p values.
     """
     form = plan.form
     if form is None:

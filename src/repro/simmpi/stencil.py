@@ -131,6 +131,15 @@ class StencilSpec:
             n *= s
         return n
 
+    @property
+    def self_peer(self) -> bool:
+        """Some offset maps every rank onto itself (a wrapped grid whose
+        extent divides the offset on every axis)."""
+        return self.wrap and any(
+            all(o % sd == 0 for o, sd in zip(off, self.shape))
+            for off in self.offsets
+        )
+
     def neighbors(self, rank: int) -> List[int]:
         """Peer rank per offset for ``rank``; -1 where the offset
         leaves a non-wrapping grid."""

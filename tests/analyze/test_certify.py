@@ -23,7 +23,7 @@ from repro.cli import main
 from repro.linalg import ProcessGrid2D
 from repro.linalg.summa import summa
 from repro.machine.presets import touchstone_delta
-from repro.util.errors import AnalysisError, ConfigurationError, DecompositionError
+from repro.util.errors import AnalysisError, ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ class TestCertifiedRunsAreBitIdentical:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((16, 16))
         b = rng.standard_normal((16, 16))
-        with pytest.raises(DecompositionError, match="overlap"):
+        with pytest.raises(ConfigurationError, match="overlap"):
             summa(machine, ProcessGrid2D(2, 2), a, b,
                   overlap=True, certificate=cert)
 
@@ -258,6 +258,173 @@ class TestRefusals:
 
 
 # ---------------------------------------------------------------------------
+# the symmetric bit: every rank computes what rank 0 computes
+# ---------------------------------------------------------------------------
+
+#: Certifiable programs whose ranks differ in more than their rank, one
+#: per way a rank-dependent value can reach something ghost replay reads.
+ASYMMETRIC = {
+    "branch-test": (
+        "def p(comm):\n"
+        "    if comm.rank == 1:\n"
+        "        yield from comm.compute(seconds=1.0)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "loop-carried-while-test": (
+        "def p(comm):\n"
+        "    t = 0.0\n"
+        "    while t < 3.0:\n"
+        "        t = t + comm.rank + 1.0\n"
+        "        yield from comm.compute(seconds=t)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "compute-argument": (
+        "def p(comm):\n"
+        "    yield from comm.compute(seconds=comm.rank)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "payload": (
+        "def p(comm):\n"
+        "    yield from comm.bcast(comm.rank, root=0)\n"
+    ),
+    "return-value": (
+        "def p(comm, x):\n"
+        "    yield from comm.barrier()\n"
+        "    return x + comm.rank\n"
+    ),
+    "rng": (
+        "def p(comm):\n"
+        "    out = yield from comm.allreduce(comm.rng.random())\n"
+        "    return out\n"
+    ),
+    "alltoall-result": (
+        "def p(comm, xs):\n"
+        "    out = yield from comm.alltoall(xs)\n"
+        "    return out\n"
+    ),
+    "method-of-rank-dependent-value": (
+        "def p(comm, x):\n"
+        "    parts = yield from comm.alltoall(x)\n"
+        "    yield from comm.compute(seconds=parts.sum())\n"
+    ),
+    "group-collective": (
+        "def p(comm):\n"
+        "    half = comm.group([0, 1])\n"
+        "    yield from half.barrier()\n"
+    ),
+    "self-peer-exchange": (
+        "def p(comm):\n"
+        "    yield from comm.exchange(grid_halo(1, 4), [1.0, 2.0, 3.0, 4.0])\n"
+    ),
+    "opaque-generator": (
+        "def p(comm):\n"
+        "    yield from helper(comm)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "rank-sliced-payload": (
+        "def p(comm, x):\n"
+        "    yield from comm.allreduce(x[comm.rank:comm.rank + 1])\n"
+    ),
+    "communicator-handed-to-a-helper": (
+        "def p(comm):\n"
+        "    t = local_work(comm)\n"
+        "    yield from comm.compute(seconds=t)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "short-circuit": (
+        "def p(comm):\n"
+        "    comm.rank == 5 and (yield from comm.compute(seconds=1.0))\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "conditional-expression": (
+        "def p(comm):\n"
+        "    (yield from comm.compute(seconds=1.0)) if comm.rank else None\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "bare-yield": (
+        "def p(comm, req):\n"
+        "    yield req\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "starred-arguments": (
+        "def p(comm, args):\n"
+        "    yield from comm.compute(*args)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "exception-handler": (
+        "def p(comm, x):\n"
+        "    try:\n"
+        "        y = 1.0 / x\n"
+        "    except ZeroDivisionError:\n"
+        "        y = 0.0\n"
+        "    yield from comm.barrier()\n"
+    ),
+}
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("name", sorted(ASYMMETRIC))
+    def test_rank_dependence_clears_the_bit(self, name):
+        assert not certify_macro(ASYMMETRIC[name], 4).symmetric
+
+    def test_uniform_program_is_symmetric(self):
+        cert = certify_macro(
+            "def p(comm, x, steps):\n"
+            "    for _ in range(steps):\n"
+            "        x = yield from comm.allreduce(x * 2.0)\n"
+            "        yield from comm.compute(flops=1e6)\n"
+            "    if comm.size > 2:\n"
+            "        yield from comm.barrier()\n"
+            "    if comm.size > 8:\n"
+            "        return comm.rank  # not taken at 4 ranks\n"
+            "    return x\n",
+            4,
+        )
+        assert cert.symmetric
+        assert cert.to_dict()["symmetric"] is True
+
+    def test_content_dependence_keeps_the_shape_uniform(self):
+        # The content bit sits beside the extents: payloads of
+        # rank-dependent values but one shape stay uniform.
+        cert = certify_macro(
+            "def p(comm, tile):\n"
+            "    row = tile[:1, :4] + comm.rank\n"
+            "    yield from comm.exchange(grid_halo(2, 2), [row, row, row, row])\n",
+            4,
+        )
+        assert cert.uniform_exchange
+        assert not cert.symmetric
+
+    def test_shape_reads_ignore_the_content_bit(self):
+        cert = certify_macro(
+            "def p(comm, x):\n"
+            "    row = x[:4] + comm.rank\n"
+            "    for _ in range(len(row)):\n"
+            "        yield from comm.barrier()\n"
+            "    yield from comm.compute(seconds=1e-6 * row.size)\n",
+            4,
+        )
+        assert len(cert.collectives) == 4
+        assert cert.symmetric
+
+    @pytest.mark.parametrize("n_ranks", [4, 8, 16, 64])
+    def test_bundled_programs_are_not_symmetric(self, n_ranks):
+        assert not bundled_certificate("ocean", n_ranks).symmetric
+        assert not bundled_certificate("summa", n_ranks).symmetric
+
+    def test_loop_carried_while_guarding_communication_refused(self):
+        with pytest.raises(CertificationError, match="trip count"):
+            certify_macro(
+                "def p(comm):\n"
+                "    t = 0.0\n"
+                "    while t < 3.0:\n"
+                "        t = t + comm.rank + 1.0\n"
+                "        yield from comm.barrier()\n",
+                4,
+            )
+
+
+# ---------------------------------------------------------------------------
 # the one-shot wrapper forwards the certificate
 # ---------------------------------------------------------------------------
 
@@ -287,6 +454,16 @@ class TestRunProgramPassthrough:
         cert = certify_macro(_relax, 8)  # proved at 8, run at 4
         with pytest.raises(ConfigurationError, match="certificate"):
             run_program(machine, 4, _relax, 3.5, 3, certificate=cert)
+
+    def test_assumed_parameter_must_match_the_run(self, machine):
+        from repro.simmpi import run_program
+
+        cert = certify_macro(_relax, 4, assume={"steps": 3})
+        run_program(machine, 4, _relax, 3.5, 3, certificate=cert)
+        with pytest.raises(ConfigurationError, match="steps=3"):
+            run_program(machine, 4, _relax, 3.5, 2, certificate=cert)
+        with pytest.raises(ConfigurationError, match="steps"):
+            run_program(machine, 4, _relax, 3.5, steps=4, certificate=cert)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 Bring-up defers every per-rank object -- Comm, rng, generator frame,
 RankState -- to the rank's first touch, and (under a macro certificate
-with ``closed_form=True``) replays only rank 0 while the columns carry
-everyone else.  Materialization never touches a clock or a statistic;
+whose ``symmetric`` bit is set) replays only rank 0 while the columns
+carry everyone else.  Materialization never touches a clock or a statistic;
 the golden corpus (``test_engine_golden.py``), recorded from the lazy
 and eager bring-ups alike, pins the observable outputs of lazy runs
 across protocols, delivery models, tracing, and fault injection.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.analyze.certify import certify_macro
+from repro.analyze.symbolic import MACRO_ELIGIBLE
 from repro.machine import FullyConnected, LinkModel, Machine, NodeSpec
 from repro.machine.presets import intel_paragon
 from repro.simmpi import Engine, run_program
@@ -21,7 +24,8 @@ from repro.simmpi.engine import _Run
 from repro.simmpi.state import LazyRankStats, MachineState, RankState
 from repro.simmpi.stencil import grid_halo
 from repro.simmpi.waitgraph import build_wait_graph
-from repro.util.errors import ConfigurationError
+from repro.sweep.workloads import _halo_program
+from repro.util.errors import DeadlockError
 from repro.util.rng import RankStreams
 
 from .test_engine_golden import check
@@ -192,7 +196,7 @@ class TestFaultBeforeMaterialization:
 
 
 # ---------------------------------------------------------------------------
-# ghost replay: closed-form == event path, bit for bit
+# ghost replay: chosen by the certificate's symmetric bit, == event path
 # ---------------------------------------------------------------------------
 
 def ghost_halo_program(comm, rows, cols, cells, steps):
@@ -217,6 +221,12 @@ def ghost_collectives_program(comm, x, steps):
     return x
 
 
+def assert_same_run(got, ref):
+    assert got.time == ref.time
+    assert got.stats == ref.stats
+    assert got.returns == ref.returns
+
+
 class TestClosedFormGhostReplay:
     @pytest.mark.parametrize("rows,cols", [(4, 4), (16, 16)])
     def test_halo_epoch_matches_event_path(self, rows, cols):
@@ -227,16 +237,14 @@ class TestClosedFormGhostReplay:
             p,
             assume={"rows": rows, "cols": cols, "cells": 8, "steps": 3},
         )
-        assert cert.uniform_exchange
+        assert cert.uniform_exchange and cert.symmetric
         ref = run_program(
             machine, p, ghost_halo_program, rows, cols, 8, 3, macro_ops=False
         )
-        ghost = Engine(machine, p, certificate=cert, closed_form=True).run(
+        ghost = Engine(machine, p, certificate=cert).run(
             ghost_halo_program, rows, cols, 8, 3
         )
-        assert ghost.time == ref.time
-        assert ghost.stats == ref.stats
-        assert ghost.returns[0] == ref.returns[0]
+        assert_same_run(ghost, ref)
         assert ghost.ranks_materialized == 1
         assert ghost.macro_fallbacks == 0
 
@@ -249,20 +257,17 @@ class TestClosedFormGhostReplay:
         ref = run_program(
             machine, p, ghost_collectives_program, 3.5, 4, macro_ops=False
         )
-        ghost = Engine(machine, p, certificate=cert, closed_form=True).run(
+        ghost = Engine(machine, p, certificate=cert).run(
             ghost_collectives_program, 3.5, 4
         )
-        assert ghost.time == ref.time
-        assert ghost.stats == ref.stats
-        assert ghost.returns[0] == ref.returns[0]
-        # All non-root returns are unreplayed in ghost mode.
-        assert ghost.returns[1:] == [None] * (p - 1)
+        # Every rank's value, not rank 0's alone.
+        assert_same_run(ghost, ref)
         assert ghost.ranks_materialized == 1
 
     def test_closed_form_result_uses_lazy_stats(self):
         machine = intel_paragon(2, 2)
         cert = certify_macro(ghost_collectives_program, 4)
-        res = Engine(machine, 4, certificate=cert, closed_form=True).run(
+        res = Engine(machine, 4, certificate=cert).run(
             ghost_collectives_program, 1.0, 1
         )
         assert isinstance(res.stats, LazyRankStats)
@@ -273,27 +278,22 @@ class TestClosedFormGhostReplay:
             res.stats[4]
 
     def test_closed_form_preconditions_are_validated(self):
+        # Tracing, armed faults, macro_ops=False and contention make
+        # per-message semantics observable: a symmetric certificate does
+        # not select ghost replay, and the run equals the uncertified one.
         machine = intel_paragon(2, 2)
         cert = certify_macro(ghost_collectives_program, 4)
-        with pytest.raises(ConfigurationError, match="certif"):
-            Engine(machine, 4, closed_form=True)
-        with pytest.raises(ConfigurationError, match="tracing"):
-            Engine(machine, 4, certificate=cert, closed_form=True, trace=True)
-        with pytest.raises(ConfigurationError, match="fault"):
-            Engine(
-                machine, 4, certificate=cert, closed_form=True, fail_at={0: 1.0}
+        assert cert.symmetric
+        for flags in ({"trace": True}, {"fail_at": {0: 1e3}},
+                      {"macro_ops": False}, {"delivery": "contention"}):
+            got = Engine(machine, 4, certificate=cert, **flags).run(
+                ghost_collectives_program, 1.0, 2
             )
-        with pytest.raises(ConfigurationError, match="macro"):
-            Engine(
-                machine, 4, certificate=cert, closed_form=True, macro_ops=False
+            ref = Engine(machine, 4, **flags).run(
+                ghost_collectives_program, 1.0, 2
             )
-        # A non-alpha-beta delivery model surfaces at run time (the
-        # macro layer is what closed-form replays through).
-        with pytest.raises(ConfigurationError, match="alpha-beta"):
-            Engine(
-                machine, 4, certificate=cert, closed_form=True,
-                delivery="contention",
-            ).run(ghost_collectives_program, 1.0, 1)
+            assert_same_run(got, ref)
+            assert got.ranks_materialized == 4
 
     def test_setup_and_execute_walls_reported(self):
         machine = intel_paragon(4, 4)
@@ -302,8 +302,170 @@ class TestClosedFormGhostReplay:
             16,
             assume={"rows": 4, "cols": 4, "cells": 8, "steps": 2},
         )
-        res = Engine(machine, 16, certificate=cert, closed_form=True).run(
+        res = Engine(machine, 16, certificate=cert).run(
             ghost_halo_program, 4, 4, 8, 2
         )
+        assert res.ranks_materialized == 1
         assert res.setup_wall_s > 0.0
         assert res.execute_wall_s > 0.0
+
+    def test_engine_keeps_one_mode_flag(self):
+        # An option census: a new mode flag must be argued for here.
+        assert list(inspect.signature(Engine).parameters) == [
+            "machine", "n_ranks", "rank_map", "seed", "trace", "max_events",
+            "fail_at", "eager_threshold_bytes", "delivery", "macro_ops",
+            "certificate",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# certified programs whose ranks differ: the full path, every rank right
+# ---------------------------------------------------------------------------
+
+def _rank_allreduce(comm):
+    x = float(comm.rank)
+    x = yield from comm.allreduce(x, algorithm="recursive_doubling")
+    x = yield from comm.allreduce(x, algorithm="recursive_doubling")
+    return x
+
+
+def _rng_allreduce(comm):
+    x = float(comm.rng.random())
+    x = yield from comm.allreduce(x, algorithm="recursive_doubling")
+    return x
+
+
+def _one_slow_rank(comm):
+    if comm.rank == 5:
+        yield from comm.compute(flops=1e8)
+    yield from comm.barrier()
+
+
+def _rank_trip_count(comm):
+    for _ in range(comm.rank):
+        yield from comm.compute(flops=1e6)
+    yield from comm.barrier()
+
+
+def _rank_flops(comm):
+    yield from comm.compute(flops=1e6 * (comm.rank + 1))
+    yield from comm.barrier()
+
+
+def _rank_sized_bcast(comm):
+    out = yield from comm.bcast([1.0] * comm.rank, root=3)
+    return out
+
+
+def _shifted_tile(comm):
+    tile = np.zeros((4, 4))[:1, :] + comm.rank
+    total = yield from comm.allreduce(tile, algorithm="recursive_doubling")
+    return float(total[0, 0])
+
+
+def _alltoall_column(comm):
+    out = yield from comm.alltoall([float(j) for j in range(comm.size)])
+    return out
+
+
+_HALO_SPEC = grid_halo(4, 4)
+
+RANK_DEPENDENT = [
+    (_halo_program, (_HALO_SPEC, 2), {"spec": _HALO_SPEC, "steps": 2}),
+    (_rank_allreduce, (), None),
+    (_rng_allreduce, (), None),
+    (_one_slow_rank, (), None),
+    (_rank_trip_count, (), None),
+    (_rank_flops, (), None),
+    (_rank_sized_bcast, (), None),
+    (_shifted_tile, (), None),
+    (_alltoall_column, (), None),
+]
+
+
+@pytest.mark.parametrize(
+    "program,args,assume", RANK_DEPENDENT,
+    ids=[fn.__name__ for fn, _, _ in RANK_DEPENDENT],
+)
+def test_certified_rank_dependent_programs_match_event_path(program, args, assume):
+    machine = intel_paragon(4, 4)
+    cert = certify_macro(program, 16, assume=assume)
+    assert not cert.symmetric
+    got = Engine(machine, 16, certificate=cert).run(program, *args)
+    ref = run_program(machine, 16, program, *args, macro_ops=False)
+    assert_same_run(got, ref)
+    assert got.ranks_materialized == 16
+
+
+def _symmetric_call(comm, kind, algorithm):
+    """One world call of ``(kind, algorithm)`` on rank-independent values;
+    results that differ by rank are dropped."""
+    x = 2.0
+    if kind == "barrier":
+        yield from comm.barrier()
+    elif kind == "bcast":
+        x = yield from comm.bcast(x, root=1, algorithm=algorithm)
+    elif kind == "reduce":
+        yield from comm.reduce(x, root=1)
+    elif kind == "allreduce":
+        x = yield from comm.allreduce(x, algorithm=algorithm)
+    elif kind == "allgather":
+        x = yield from comm.allgather(x, algorithm=algorithm)
+    elif kind == "alltoall":
+        yield from comm.alltoall([x] * comm.size, algorithm=algorithm)
+    else:
+        yield from comm.exchange(grid_halo(4, 4), [x, x, x, x])
+    yield from comm.compute(flops=1e6)
+    return x
+
+
+@pytest.mark.parametrize("kind,algorithm", sorted(MACRO_ELIGIBLE))
+def test_every_eligible_pair_takes_ghost_replay(kind, algorithm):
+    machine = intel_paragon(4, 4)
+    cert = certify_macro(
+        _symmetric_call, 16, assume={"kind": kind, "algorithm": algorithm}
+    )
+    assert cert.symmetric
+    got = Engine(machine, 16, certificate=cert).run(
+        _symmetric_call, kind, algorithm
+    )
+    ref = run_program(
+        machine, 16, _symmetric_call, kind, algorithm, macro_ops=False
+    )
+    assert_same_run(got, ref)
+    assert got.ranks_materialized == 1
+
+
+def _self_peer_exchange(comm):
+    out = yield from comm.exchange(grid_halo(1, 4), [1.0, 2.0, 3.0, 4.0])
+    return out
+
+
+def _big_allreduce(comm, n):
+    x = yield from comm.allreduce(np.ones(n), algorithm="recursive_doubling")
+    return float(x[0])
+
+
+class TestGhostReplayPreconditions:
+    def test_self_peer_exchange_runs_full_path(self):
+        # An offset that maps every rank onto itself sends to self,
+        # which ghost replay cannot price; the full path can.
+        machine = intel_paragon(2, 2)
+        cert = certify_macro(_self_peer_exchange, 4)
+        assert not cert.symmetric
+        got = Engine(machine, 4, certificate=cert).run(_self_peer_exchange)
+        ref = run_program(machine, 4, _self_peer_exchange, macro_ops=False)
+        assert_same_run(got, ref)
+
+    def test_finite_eager_threshold_runs_full_path(self):
+        # Rendezvous payloads inside a cyclic pattern deadlock on the
+        # event path; a symmetric certificate must not change that.
+        machine = intel_paragon(2, 2)
+        cert = certify_macro(_big_allreduce, 4)
+        assert cert.symmetric
+        for certificate in (None, cert):
+            with pytest.raises(DeadlockError):
+                Engine(
+                    machine, 4, certificate=certificate,
+                    eager_threshold_bytes=100,
+                ).run(_big_allreduce, 64)

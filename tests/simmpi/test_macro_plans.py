@@ -193,11 +193,12 @@ def test_narrow_plans_price_on_lists_and_wide_on_arrays(monkeypatch):
     assert {(w, f) for w, f, _ in seen} == {
         (4, list), (8, list), (0, list), (16, np.ndarray), (32, np.ndarray)
     }
-    # Closed-form ghost replay hands evaluate the live clock column.
+    # Ghost replay hands evaluate the live clock column.
     for p in (8, 32):
         cert = certify_macro(_world_bcast_barrier, p)
-        ghost = Engine(touchstone_delta(), p, certificate=cert, closed_form=True)
-        assert ghost.run(_world_bcast_barrier).returns[0] == 2.5
+        assert cert.symmetric
+        ghost = Engine(touchstone_delta(), p, certificate=cert)
+        assert ghost.run(_world_bcast_barrier).returns == [2.5] * p
     assert {(w, f) for w, f, _ in seen[-4:]} == {
         (4, list), (8, list), (16, np.ndarray), (32, np.ndarray)
     }
