@@ -30,10 +30,12 @@ The certificate additionally records whether every exchange payload was
 proved *uniform* (rank-independent shape), which lets
 :mod:`repro.simmpi.stencil` skip its per-member size scan, and whether
 the program is *symmetric*: no rank-dependent value reaches a branch or
-loop test, a compute argument, a collective or exchange argument, or
-the return value; every collective is on the world communicator; and no
-exchange maps a rank onto itself.  Then every rank computes what rank 0
-computes, and the engine prices the run by replaying rank 0 alone.
+loop test, a compute argument, a collective or exchange argument, the
+return value, or an object written in place; every collective is on the
+world communicator; and no exchange maps a rank onto itself
+(:attr:`SymbolicProgram.asymmetric` is clear).  Then every rank computes
+what rank 0 computes, and the engine prices the run by replaying rank 0
+alone.
 
 Certificates are advisory but verified: :meth:`MacroCertificate.matches`
 binds to the SHA-256 of the program's source and the world size, so a
@@ -127,13 +129,9 @@ def _check_ops(
     ops: List[Any],
     collectives: List[Tuple[int, str, Optional[str]]],
     exchanges: List[Tuple[int, bool]],
-) -> bool:
-    """Refuse, or record the call sites; returns whether every
-    collective is on the world communicator and no exchange spec maps a
-    rank onto itself."""
+) -> None:
     from repro.analyze.symbolic import MACRO_ELIGIBLE
 
-    symmetric = True
     for op in ops:
         if isinstance(op, (SendOp, RecvOp, WaitOp)):
             raise CertificationError(
@@ -149,7 +147,6 @@ def _check_ops(
                     "later collectives"
                 )
             collectives.append((op.line, op.kind, op.algorithm))
-            symmetric &= op.world
         elif isinstance(op, ExchangeOp):
             if op.spec is None:
                 raise CertificationError(
@@ -157,23 +154,21 @@ def _check_ops(
                     "StencilSpec"
                 )
             exchanges.append((op.line, op.uniform))
-            symmetric &= not op.spec.self_peer
         elif isinstance(op, Branch):
             if op.test is not None or not op.uniform:
                 raise CertificationError(
                     f"line {op.line}: communication under a rank-dependent "
                     "or opaque branch; ranks may disagree on the op sequence"
                 )
-            symmetric &= _check_ops(op.body, collectives, exchanges)
-            symmetric &= _check_ops(op.orelse, collectives, exchanges)
+            _check_ops(op.body, collectives, exchanges)
+            _check_ops(op.orelse, collectives, exchanges)
         elif isinstance(op, Loop):
             if not op.uniform:
                 raise CertificationError(
                     f"line {op.line}: communication inside a loop with a "
                     "rank-dependent trip count"
                 )
-            symmetric &= _check_ops(op.body, collectives, exchanges)
-    return symmetric
+            _check_ops(op.body, collectives, exchanges)
 
 
 def certify_program(program: SymbolicProgram, source_sha: str,
@@ -195,7 +190,7 @@ def certify_program(program: SymbolicProgram, source_sha: str,
         )
     collectives: List[Tuple[int, str, Optional[str]]] = []
     exchanges: List[Tuple[int, bool]] = []
-    symmetric = _check_ops(program.ops, collectives, exchanges)
+    _check_ops(program.ops, collectives, exchanges)
     if not collectives and not exchanges:
         raise CertificationError(
             "program performs no certifiable communication; a certificate "
@@ -208,7 +203,7 @@ def certify_program(program: SymbolicProgram, source_sha: str,
         collectives=tuple(collectives),
         exchanges=tuple(exchanges),
         uniform_exchange=bool(exchanges) and all(u for _, u in exchanges),
-        symmetric=symmetric and not program.asymmetric,
+        symmetric=not program.asymmetric,
         assume=tuple(sorted((k, repr(v)) for k, v in (assume or {}).items())),
     )
 

@@ -195,8 +195,10 @@ class SymbolicProgram:
     has_guarded_ops: bool = False
     #: Ranks may differ in more than their rank: a rank-dependent value
     #: reaches a branch or loop test, a compute or communication
-    #: argument, or the return value; or an opaque generator is driven,
-    #: or an exception handler may run on some ranks only.
+    #: argument, the return value or an in-place write; a collective is
+    #: on a group or an exchange maps a rank onto itself; an opaque
+    #: generator is driven, or an exception handler may run on some
+    #: ranks only.
     asymmetric: bool = False
 
 

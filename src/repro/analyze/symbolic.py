@@ -432,6 +432,8 @@ class _Interp:
         elif isinstance(stmt, ast.AugAssign):
             current = self.eval_target_value(stmt.target)
             increment = self.eval(stmt.value)
+            if isinstance(stmt.target, ast.Name) and _mutable(current):
+                self._taint(current, increment)  # ``x += y`` is in place
             self.assign(stmt.target, self.binop(stmt.op, current, increment))
             self._flow(stmt.target, stmt.value, increment)
         elif isinstance(stmt, ast.Expr):
@@ -460,8 +462,11 @@ class _Interp:
             raise _Break()
         elif isinstance(stmt, ast.Continue):
             raise _Continue()
+        elif isinstance(stmt, ast.Delete):  # a deleted item is a store
+            for target in stmt.targets:
+                self.assign(target, Unknown(rank_dep=False))
         elif isinstance(stmt, (ast.Pass, ast.Import, ast.ImportFrom, ast.Global,
-                               ast.Nonlocal, ast.Assert, ast.Delete)):
+                               ast.Nonlocal, ast.Assert)):
             pass
         elif isinstance(stmt, ast.Try):
             # Exceptional control flow is outside the model: the body,
@@ -504,17 +509,40 @@ class _Interp:
             for element, part in zip(elts, parts):
                 self.assign(element, part)
         elif isinstance(target, (ast.Subscript, ast.Attribute)):
-            # Writing through a container/attribute: widen the base name
-            # so stale shape facts cannot survive the store.
-            base = target
-            while isinstance(base, (ast.Subscript, ast.Attribute)):
-                base = base.value
-            if isinstance(base, ast.Name) and base.id in self.env:
-                old = self.env[base.id]
-                self.env[base.id] = join(old, old if not is_rank_dep(value)
-                                         else Unknown(rank_dep=True))
+            self._store(target, value)
         else:
             raise Unsupported(f"unsupported assign target {type(target).__name__}")
+
+    def _store(self, target: Union[ast.Subscript, ast.Attribute],
+               value: Any) -> None:
+        """``value`` is written into (or deleted from) ``target``'s object
+        in place.  A rank-dependent value, index or object widens the base
+        name and, as views and aliases are not tracked, breaks symmetry."""
+        try:
+            parts = [value, self.eval(target.value), self.eval(
+                target.slice) if isinstance(target, ast.Subscript) else None]
+        except Unsupported:
+            parts = [Unknown(rank_dep=True)]
+        self._taint(*parts)
+        base = target
+        while isinstance(base, (ast.Subscript, ast.Attribute)):
+            base = base.value
+        if isinstance(base, ast.Name) and base.id in self.env and \
+                any(is_rank_dep(v) for v in parts):
+            self.env[base.id] = join(self.env[base.id], Unknown(rank_dep=True))
+
+    def _may_write(self, node: ast.Call, callee: Any, dep: bool) -> None:
+        """An opaque call that sees a rank-dependent value may write it
+        into its receiver or an argument (``x.fill(r)``, ``out=x``): if
+        either names a container, symmetry is broken."""
+        if not dep or isinstance(callee, _Intrinsic):
+            return
+        receiver = getattr(node.func, "value", None)
+        for expr in [receiver, *node.args, *(k.value for k in node.keywords)]:
+            while isinstance(expr, (ast.Subscript, ast.Attribute, ast.Starred)):
+                expr = expr.value
+            if isinstance(expr, ast.Name) and _mutable(self.env.get(expr.id)):
+                self.program.asymmetric = True
 
     # -- per-site facts -----------------------------------------------------
 
@@ -1162,30 +1190,32 @@ class _Interp:
 
     def call(self, node: ast.Call) -> Any:
         func = node.func
-        if any(isinstance(a, ast.Starred) for a in node.args) or any(
+        starred = any(isinstance(a, ast.Starred) for a in node.args) or any(
             k.arg is None for k in node.keywords
-        ):
-            for a in node.args:
-                self.eval(a.value if isinstance(a, ast.Starred) else a)
-            callee = self.eval(func)
-            if isinstance(callee, _CommMethod) and callee.name in COMM_COROUTINES:
-                self.program.asymmetric = True  # arguments not seen
-                return self._built_at(node, callee,
-                                      _PendingOp([], Unknown(rank_dep=True)))
-            return Unknown(rank_dep=False)
+        )
         args = [self.eval(a) for a in node.args]
         kwargs = {k.arg: self.eval(k.value) for k in node.keywords if k.arg}
+        unpacked = [self.eval(k.value) for k in node.keywords if not k.arg]
         callee = self.eval(func)
         # An opaque callee handed the communicator can read its rank.
         dep = is_rank_dep(callee) or any(
             is_rank_dep(v) or isinstance(v, CommVal)
-            for v in [*args, *kwargs.values()]
+            for v in [*args, *kwargs.values(), *unpacked]
         )
         if isinstance(callee, _CommMethod):
-            if callee.name in COMM_COROUTINES:  # times, payloads, roots
+            coroutine = callee.name in COMM_COROUTINES
+            if coroutine:  # times, payloads, roots
                 self._taint(*args, *kwargs.values())
-            value = self.comm_call(callee, node, args, kwargs)
+                self.program.asymmetric |= starred  # arguments not seen
+            if not starred:
+                value = self.comm_call(callee, node, args, kwargs)
+            else:
+                value = _PendingOp([], Unknown(rank_dep=True)) if coroutine \
+                    else Unknown(rank_dep=dep)
             return self._built_at(node, callee, value)
+        self._may_write(node, callee, dep)
+        if starred:
+            return Unknown(rank_dep=dep)
         if isinstance(func, ast.Attribute) and func.attr in _MUTATORS and \
                 isinstance(func.value, ast.Name):
             for arg, value in zip(node.args, args):
@@ -1206,27 +1236,14 @@ class _Interp:
                     self._holds.setdefault(name, set()).update(held)
                 return None
         if isinstance(callee, _Intrinsic):
-            return self.intrinsic(callee.name, node, args, kwargs)
+            return self.intrinsic(callee.name, args, kwargs, dep)
         if isinstance(callee, _ShapePreserver):
             return SymArray(callee.array.dims, key=callee.array.key,
                             rank_dep=callee.array.rank_dep or dep)
         if isinstance(callee, _Callable):
-            if all(_is_real(v) for v in args) and all(
-                _is_real(v) for v in kwargs.values()
-            ):
-                try:
-                    return _wrap_real(callee.fn(*args, **kwargs))
-                except Exception:
-                    return Unknown(rank_dep=False)
-            return Unknown(rank_dep=dep)
-        if callable(callee) and isinstance(callee, type):
-            if all(_is_real(v) for v in args) and all(
-                _is_real(v) for v in kwargs.values()
-            ):
-                try:
-                    return _wrap_real(callee(*args, **kwargs))
-                except Exception:
-                    return Unknown(rank_dep=False)
+            return _apply(callee.fn, args, kwargs, dep)
+        if isinstance(callee, type) and _is_real([*args, *kwargs.values()]):
+            return _apply(callee, args, kwargs, dep)
         # Unknown callee: a few numpy-style names preserve shape.
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None
@@ -1264,27 +1281,21 @@ class _Interp:
 
     # -- intrinsics ---------------------------------------------------------
 
-    def intrinsic(self, name: str, node: ast.Call, args: List[Any],
-                  kwargs: Dict[str, Any]) -> Any:
-        dep = any(is_rank_dep(v) for v in args) or any(
-            is_rank_dep(v) for v in kwargs.values()
-        )
+    def intrinsic(self, name: str, args: List[Any], kwargs: Dict[str, Any],
+                  dep: bool) -> Any:
+        ints = [isinstance(v, int) and not isinstance(v, bool) for v in args]
+        # Integers and rank expressions: a function of the rank.
+        ranky = bool(args) and all(
+            i or isinstance(v, RankExpr) for i, v in zip(ints, args))
+        fns = tuple(_lift(v) for v in args)
         if name == "range":
-            if all(isinstance(v, int) and not isinstance(v, bool) for v in args):
+            if all(ints):
                 try:
                     return range(*args)
                 except (TypeError, ValueError):
                     return Unknown(rank_dep=False)
-            ranky = all(
-                isinstance(v, RankExpr) or (isinstance(v, int) and
-                                            not isinstance(v, bool))
-                for v in args
-            ) and args
             if ranky:
-                fns = [_lift(v) for v in args]
-                return _RangeExpr(
-                    RankExpr(lambda r, fs=tuple(fns): len(range(*[f(r) for f in fs])))
-                )
+                return _RangeExpr(RankExpr(lambda r: len(range(*[f(r) for f in fns]))))
             return Unknown(rank_dep=dep)
         if name == "len" and args and isinstance(args[0], SymArray) and \
                 args[0].dims:
@@ -1292,25 +1303,13 @@ class _Interp:
         if name in ("len", "abs", "int", "float", "bool", "sum", "sorted",
                     "list", "tuple", "set", "str", "enumerate", "zip",
                     "divmod", "round"):
-            real = all(_is_real(v) for v in args)
-            if real:
-                try:
-                    return _wrap_real(_BUILTINS[name](*args))
-                except Exception:
-                    return Unknown(rank_dep=False)
-            return Unknown(rank_dep=dep)
+            return _apply(_BUILTINS[name], args, {}, dep)
         if name in ("min", "max"):
-            if all(isinstance(v, int) and not isinstance(v, bool) for v in args):
-                return (min if name == "min" else max)(*args)
-            ranky = args and all(
-                isinstance(v, RankExpr) or (isinstance(v, int) and
-                                            not isinstance(v, bool))
-                for v in args
-            )
-            if ranky and any(isinstance(v, RankExpr) for v in args):
-                fns = [_lift(v) for v in args]
-                agg = min if name == "min" else max
-                return RankExpr(lambda r, fs=tuple(fns), g=agg: g(f(r) for f in fs))
+            agg = min if name == "min" else max
+            if all(ints):
+                return agg(*args)
+            if ranky:
+                return RankExpr(lambda r: agg(f(r) for f in fns))
             return Unknown(rank_dep=dep)
         if name == "next":
             if args:
@@ -1331,29 +1330,14 @@ class _Interp:
                         RankExpr(lambda r, n=n_val, p=p_val, e=rank_val:
                                  block_range(n, p, e.at(r))[1]),
                     )
-                if all(_is_real(v) for v in args):
-                    try:
-                        return block_range(*args)
-                    except Exception:
-                        return Unknown(rank_dep=False)
+                if _is_real(args):
+                    return _apply(block_range, args, {}, dep)
             return (Unknown(rank_dep=True), Unknown(rank_dep=True))
         if name == "block_ranges":
-            if all(_is_real(v) for v in args):
-                try:
-                    return tuple(block_ranges(*args))
-                except Exception:
-                    return Unknown(rank_dep=False)
-            return Unknown(rank_dep=dep)
+            return _apply(lambda *a: tuple(block_ranges(*a)), args, {}, dep)
         if name in ("strip_halo", "grid_halo"):
             fn = strip_halo if name == "strip_halo" else grid_halo
-            if all(_is_real(v) for v in args) and all(
-                _is_real(v) for v in kwargs.values()
-            ):
-                try:
-                    return fn(*args, **kwargs)
-                except Exception:
-                    return Unknown(rank_dep=False)
-            return Unknown(rank_dep=dep)
+            return _apply(fn, args, kwargs, dep)
         return Unknown(rank_dep=dep)
 
     # -- communication ------------------------------------------------------
@@ -1444,6 +1428,8 @@ class _Interp:
                 uniform_shape(p) for p in payloads
             )
             concrete_spec = spec if isinstance(spec, StencilSpec) else None
+            if concrete_spec is not None and concrete_spec.self_peer:
+                self.program.asymmetric = True  # ghost replay cannot pair it
             op = ExchangeOp(spec=concrete_spec, line=line, col=col,
                             uniform=uniform and concrete_spec is not None)
             if concrete_spec is not None:
@@ -1460,6 +1446,7 @@ class _Interp:
                    args: List[Any], kwargs: Dict[str, Any]) -> Any:
         line, col = node.lineno, node.col_offset
         signature = _COLLECTIVE_SIGNATURES.get(kind, ())
+        self.program.asymmetric |= not comm.world  # members differ by rank
 
         def arg(keyword: str, default: Any = None) -> Any:
             if keyword in kwargs:
@@ -1614,6 +1601,13 @@ def _is_concrete_scalar(value: Any) -> bool:
     return isinstance(value, (int, float, bool)) and not isinstance(value, complex)
 
 
+def _mutable(value: Any) -> bool:
+    """Whether ``value`` may be an object written in place: an abstract
+    array, record or opaque value, or an unhashable one (a list)."""
+    return isinstance(value, (SymArray, Record, Unknown)) or \
+        type(value).__hash__ is None
+
+
 def _is_real(value: Any) -> bool:
     """A value safe to hand to real Python code."""
     if value is None or isinstance(value, (int, float, bool, str, StencilSpec)):
@@ -1625,6 +1619,18 @@ def _is_real(value: Any) -> bool:
                           _RangeExpr, _NullContext, _ShapePreserver, _Callable)):
         return False
     return True  # assumed objects (grids, arrays) pass through
+
+
+def _apply(fn: Callable, args: List[Any], kwargs: Dict[str, Any],
+           dep: bool) -> Any:
+    """``fn`` run on real arguments (a failure is opaque), else an
+    opaque value as rank-dependent as the arguments."""
+    if not _is_real([*args, *kwargs.values()]):
+        return Unknown(rank_dep=dep)
+    try:
+        return _wrap_real(fn(*args, **kwargs))
+    except Exception:
+        return Unknown(rank_dep=False)
 
 
 def _wrap_real(value: Any) -> Any:

@@ -117,7 +117,8 @@ from repro.util.rng import RankStreams
 class SimResult:
     """Outcome of one simulated run."""
 
-    #: Per-rank generator return values.
+    #: Per-rank generator return values.  Under ghost replay every entry
+    #: is rank 0's value, one shared object.
     returns: List[Any]
     #: Virtual makespan: the latest rank finish time, seconds.
     time: float
@@ -249,15 +250,13 @@ class Engine:
         Ignored when macro-ops are disabled for the run (tracing,
         contention, faults) -- the event path needs no probe.
         A ``symmetric`` certificate proves every rank yields rank 0's
-        requests and returns rank 0's value; then, with macro-ops
-        enabled and every message eager (the default threshold),
-        ``run()`` prices the program by *ghost replay*: only rank 0's
-        generator is driven, a compute request charges every rank's
-        clock in one vectorized operation, and each world collective or
-        stencil exchange is priced by the macro evaluator from rank 0's
-        request.  Time, stats and returns equal the event path's; most
-        ranks never materialize, which is what makes 10^6-rank machines
-        affordable.
+        requests and returns rank 0's value; with macro-ops enabled and
+        every message eager (the default threshold), ``run()`` then
+        prices the program by *ghost replay*: only rank 0's generator
+        runs, a compute request charges every rank's clock in one
+        vectorized operation, and each collective or exchange is priced
+        by the macro evaluator from rank 0's request.  Time, stats and
+        returns equal the event path's; most ranks never materialize.
     """
 
     def __init__(
@@ -1181,12 +1180,11 @@ class _Run:
             bound = inspect.signature(program).bind(None, *args, **kwargs)
             bound.apply_defaults()
             for name, assumed in certificate.assume:
-                value = bound.arguments.get(name)
-                if name in bound.arguments and repr(value) != assumed:
+                if name in bound.arguments and repr(bound.arguments[name]) != assumed:
                     raise ConfigurationError(
-                        f"macro certificate assumed {name}={assumed}; this "
-                        f"run passes {name}={value!r} -- certify the "
-                        "matching variant"
+                        f"macro certificate assumed {name}={assumed}; this run "
+                        f"passes {name}={bound.arguments[name]!r} -- certify "
+                        "the matching variant"
                     )
             if self._macro_enabled:
                 self._cert_pure = True

@@ -351,6 +351,60 @@ ASYMMETRIC = {
         "    yield from comm.compute(*args)\n"
         "    yield from comm.barrier()\n"
     ),
+    "store-at-a-rank-index": (
+        "def p(comm):\n"
+        "    buf = np.zeros(comm.size)\n"
+        "    buf[comm.rank] = 1.0\n"
+        "    out = yield from comm.allreduce(buf)\n"
+        "    return out\n"
+    ),
+    "store-into-a-rank-dependent-view": (
+        "def p(comm):\n"
+        "    buf = np.zeros(comm.size)\n"
+        "    view = buf[comm.rank:comm.rank + 1]\n"
+        "    view[:] = 1.0\n"
+        "    yield from comm.allreduce(buf)\n"
+    ),
+    "in-place-add-to-a-view": (
+        "def p(comm):\n"
+        "    buf = np.zeros(comm.size)\n"
+        "    view = buf[comm.rank:comm.rank + 1]\n"
+        "    view += 1.0\n"
+        "    yield from comm.allreduce(buf)\n"
+    ),
+    "delete-at-a-rank-index": (
+        "def p(comm):\n"
+        "    xs = [1.0, 2.0, 3.0, 4.0]\n"
+        "    del xs[comm.rank]\n"
+        "    yield from comm.barrier()\n"
+        "    return xs\n"
+    ),
+    "starred-call-of-a-rank-dependent-value": (
+        "def p(comm):\n"
+        "    t = max(*[comm.rank, 0.5])\n"
+        "    yield from comm.compute(seconds=t)\n"
+        "    yield from comm.barrier()\n"
+    ),
+    "method-writes-the-receiver": (
+        "def p(comm):\n"
+        "    x = np.zeros(4)\n"
+        "    x.fill(comm.rank)\n"
+        "    yield from comm.allreduce(x)\n"
+    ),
+    "function-writes-an-argument": (
+        "def p(comm):\n"
+        "    x = np.zeros(4)\n"
+        "    np.copyto(x, comm.rank)\n"
+        "    yield from comm.barrier()\n"
+        "    return x\n"
+    ),
+    "out-argument": (
+        "def p(comm):\n"
+        "    x = np.zeros(4)\n"
+        "    np.add(x, comm.rank, out=x)\n"
+        "    yield from comm.barrier()\n"
+        "    return x\n"
+    ),
     "exception-handler": (
         "def p(comm, x):\n"
         "    try:\n"
@@ -382,6 +436,19 @@ class TestSymmetry:
         )
         assert cert.symmetric
         assert cert.to_dict()["symmetric"] is True
+
+    def test_uniform_in_place_writes_keep_the_bit(self):
+        cert = certify_macro(
+            "def p(comm, x):\n"
+            "    buf = np.zeros(4)\n"
+            "    buf[0] = x\n"
+            "    buf += 1.0\n"
+            "    buf.fill(x)\n"
+            "    out = yield from comm.allreduce(buf)\n"
+            "    return out\n",
+            4,
+        )
+        assert cert.symmetric
 
     def test_content_dependence_keeps_the_shape_uniform(self):
         # The content bit sits beside the extents: payloads of

@@ -368,6 +368,26 @@ def _alltoall_column(comm):
     return out
 
 
+def _allgather_by_allreduce(comm):
+    buf = np.zeros(comm.size)
+    buf[comm.rank] = 1.0
+    out = yield from comm.allreduce(buf, algorithm="recursive_doubling")
+    return out.tolist()
+
+
+def _starred_compute(comm):
+    t = max(*[comm.rank * 1e-3, 5e-4])
+    yield from comm.compute(seconds=t)
+    yield from comm.barrier()
+
+
+def _filled_buffer(comm):
+    x = np.zeros(4)
+    x.fill(comm.rank)
+    out = yield from comm.allreduce(x, algorithm="recursive_doubling")
+    return out.tolist()
+
+
 _HALO_SPEC = grid_halo(4, 4)
 
 RANK_DEPENDENT = [
@@ -380,6 +400,9 @@ RANK_DEPENDENT = [
     (_rank_sized_bcast, (), None),
     (_shifted_tile, (), None),
     (_alltoall_column, (), None),
+    (_allgather_by_allreduce, (), None),
+    (_starred_compute, (), None),
+    (_filled_buffer, (), None),
 ]
 
 
