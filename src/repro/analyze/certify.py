@@ -1,7 +1,7 @@
 """Static macro-eligibility certificates.
 
 The engine's collective macro path (:mod:`repro.simmpi.macro`) guards
-every invocation with a runtime probe: before committing the
+every invocation with a runtime probe: before pricing the
 closed-form schedule it scans each member for queued eager traffic,
 posted receive slots, or parked rendezvous senders
 (``engine._run_macro``), because any of those could interleave with the

@@ -128,9 +128,8 @@ def _macro_collective(
     block on every member.
     """
     comm._coll_seq += 1
-    members = getattr(comm, "members", None)
     result = yield CollectiveReq(
-        None if members is None else tuple(members),
+        getattr(comm, "members", None),
         comm._coll_seq, kind, algorithm, root, op, value,
         comm.rank, comm.size,
     )

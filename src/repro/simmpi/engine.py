@@ -61,6 +61,7 @@ from __future__ import annotations
 import gc
 import heapq
 import inspect
+from itertools import repeat
 from time import perf_counter
 
 import numpy as np
@@ -759,23 +760,21 @@ class _Run:
         entry = pend.get(key)
         if entry is None:
             size = request.size
-            # [outstanding count, reqs by group rank, entry clocks]
-            entry = pend[key] = [size, [None] * size, [0.0] * size]
-        g = request.grank
+            # [outstanding count, reqs by group rank]
+            entry = pend[key] = [size, [None] * size]
         entry[0] -= 1
-        entry[1][g] = request
-        entry[2][g] = self._clk[state.rank]
+        entry[1][request.grank] = request
         self._blk[state.rank] = True
         state.collective = key
         if entry[0] == 0:
             del pend[key]
-            self._run_macro(key, entry[1], entry[2])
+            self._run_macro(key, entry[1])
 
-    def _run_macro(self, key: tuple, reqs: list, clocks: list) -> None:
-        """All members of one collective invocation are parked: commit
-        the closed-form schedule, or resume everyone with the fallback
-        sentinel so the real message algorithm runs from these same
-        entry clocks."""
+    def _run_macro(self, key: tuple, reqs: list) -> None:
+        """All members of one collective invocation are parked (their
+        clocks are the entry clocks): price the closed-form schedule in
+        place, or resume everyone with the fallback sentinel so the real
+        message algorithm runs from those same entry clocks."""
         plan = _macro_plan(self, key[0], key[2], key[3], key[4])
         members = plan.members
         ranks = self.ranks
@@ -794,26 +793,25 @@ class _Run:
                 if st.rslots or st.pending or st.parked:
                     sound = False
                     break
-        result = _macro_evaluate(self, plan, reqs, clocks) if sound else None
-        # Vectorized whole-group unblock (on the ndarray; the memoryview
-        # sees it); the loops below only rewire per-rank object state
-        # and resume events.
-        self.ms.blocked[plan.idx] = False
-        schedule = self.schedule
-        if result is None:
+        values = _macro_evaluate(self, plan, reqs) if sound else None
+        if values is None:
             self._fallbacks += 1
-            clk = self._clk
-            for m in members:
-                ranks[m].collective = None
-                schedule(clk[m], m, MACRO_FALLBACK)
-            return
-        finishes, values = result
-        # evaluate() already committed clocks and stats; the resume
-        # events land exactly at each member's new clock, so no idle
-        # time is attributed.
-        for i, m in enumerate(members):
+            values = repeat(MACRO_FALLBACK)
+        # One pass unblocks the group and resumes each member at its
+        # clock -- the finish time evaluate() priced, or the untouched
+        # entry clock on fallback, so no idle time is attributed --
+        # drawing seq and buffering the active rank as schedule() does.
+        clk, blk, heap, active, seq = (
+            self._clk, self._blk, self._heap, self._active, self.seq)
+        for m, value in zip(members, values):
             ranks[m].collective = None
-            schedule(finishes[i], m, values[i])
+            blk[m] = False
+            seq += 1
+            if m == active and self._fast is None:
+                self._fast = (clk[m], seq, m, value)
+            else:
+                heapq.heappush(heap, (clk[m], seq, m, value))
+        self.seq = seq
 
     def _eager_send_fast(
         self, state: RankState, request, nbytes: float, handle: Optional[SendHandle]
@@ -1413,7 +1411,7 @@ class _Run:
         rank 0's payload values, and returns rank 0's value.  Then a
         compute burst is one vectorized column charge (the same IEEE
         additions the per-rank handler would make), and a collective's
-        entry clocks are exactly the clocks the previous macro commit
+        entry clocks are exactly the clocks the previous macro pricing
         left in the columns, so makespans, per-rank stats and returns
         are bit-identical to the event path (asserted in the A/B suite).
         p-1 ranks never materialize a Comm, rng, RankState, or generator
@@ -1479,14 +1477,14 @@ class _Run:
                 plan = _macro_plan(
                     self, None, request.kind, request.algorithm, request.root
                 )
-                result = evaluate(self, plan, [request] * p, ms.clock, ghost=True)
+                result = evaluate(self, plan, [request] * p, ghost=True)
                 if result is None:
                     raise SimulationError(
                         f"collective {request.kind}/{request.algorithm} is "
                         "not analytically exact here (rendezvous inside a "
                         "cyclic pattern, or an unsupported schedule)"
                     )
-                value = result[1][0]
+                value = result[0]
             else:
                 raise SimulationError(
                     f"ghost replay yielded {request!r}; only compute and "

@@ -39,7 +39,7 @@ class GroupComm:
     )
 
     def __init__(self, parent: Comm, members: Sequence[int]):
-        members = list(members)
+        members = tuple(members)
         if len(set(members)) != len(members):
             raise CommunicationError(f"duplicate ranks in group: {members}")
         for m in members:

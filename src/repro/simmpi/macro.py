@@ -23,21 +23,23 @@ the protocols' rendezvous arithmetic *expression for expression*:
   at the handshake; ``comm_time += (handshake - park) + overhead``.
 * blocking recv: ``completion = max(arrival, blocked_since)``.
 
-Per-rank statistics are accumulated on *local copies seeded from the
-live values* and committed absolutely, so the float addition order per
-rank is identical to the event path (each rank's stats are only ever
-touched by its own ops, in program order).
-
-Evaluation is transactional: local clocks, stats, and a
-``_last_arrival`` overlay are the only mutable state until
-:meth:`_Sched.commit`, so bailing out at any point (``_Bail``) is safe
--- the engine then resumes every member with ``MACRO_FALLBACK`` and the
-real message algorithm runs from the same entry clocks.  The only
-side effects before commit are memo and plan-table inserts: the
-delivery model's ``_fixed`` / overhead memos and the run's
-:class:`_Plan` table.  Each caches a pure function of the run's
-topology, rank map, link and size, so a bail leaves nothing
-observable.
+Evaluators decide, then price in place.  Every condition that makes an
+evaluator raise ``_Bail`` (rendezvous in a cyclic round, irregular
+exchange sizes, self-peers, ``tree_nb`` under rendezvous) is settled
+from the payloads before the first message is priced, so a bail has
+written nothing and the engine resumes every member with
+``MACRO_FALLBACK`` at its untouched entry clock; the real message
+algorithm then runs from there.  Pricing reads and writes the run's
+own clock and stats columns and its FIFO clamp table
+(``run._last_arrival`` / ``run._last_hi``) directly: a parked member's
+clock cannot move while it is parked, so the columns *are* the entry
+clocks, and after pricing they hold the finish times.  Each rank's
+stats are only ever touched by its own ops, in program order, so the
+float addition order per rank is the event path's.  The other writes a
+bail may leave are memo and plan-table inserts: the delivery model's
+``_fixed`` / overhead memos and the run's :class:`_Plan` table.  Each
+caches a pure function of the run's topology, rank map, link and size,
+so a bail leaves nothing observable.
 
 Supported schedules
 -------------------
@@ -52,20 +54,20 @@ check (``plan.form``) and the analyzer's ``MACRO_ELIGIBLE`` all derive
 from it, so adding a closed-form collective is one table entry.
 
 Round-phased evaluators price the plan's rounds with
-:meth:`_Sched.send_round` / :meth:`_Sched.recv_round`; ring and flat
-bcast are chains (each hop waits on the one before it) and go message
-by message through :meth:`_Sched.send` / :meth:`_Sched.recv`.  A round
-is priced one of two ways, picked per invocation from the plan's widest
-round: below :data:`VECTOR_WIDTH` pairs (every chain, and an lu2d
-panel broadcast's rounds of 1, 2 and 4) pair by pair through those same
-scalar primitives on list columns, where NumPy's fixed cost per call
-would dominate; from it up in a handful of array operations per round.
-Cyclic patterns (dissemination, butterfly, shifts, exchanges) are
-evaluated only when every message is eager; a rendezvous message there
-means the event path's behaviour (including its deadlock) must be
-reproduced for real, so we bail -- before pricing that round, which is
-what lets the pair loop and the vectorised round agree (see
-:class:`_Sched`).
+:meth:`_Sched.round_trip` (or :meth:`_Sched.send_round` /
+:meth:`_Sched.recv_round` when a round's receives come later); ring and
+flat bcast are chains (each hop waits on the one before it) and go
+message by message through :meth:`_Sched.send` / :meth:`_Sched.recv`.
+A round is priced one of two ways, fixed per plan by its widest round:
+below :data:`VECTOR_WIDTH` pairs (every chain, and an lu2d panel
+broadcast's rounds of 1, 2 and 4) pair by pair on the run's
+memoryviews, where NumPy's fixed cost per call would dominate; from it
+up in a handful of array operations per round on ``run.ms``.  Cyclic
+patterns (dissemination, butterfly, shifts, exchanges) are evaluated
+only when every message is eager; a rendezvous message there means the
+event path's behaviour (including its deadlock) must be reproduced for
+real, so we bail -- before pricing anything, which is also what lets
+the pair loop and the vectorised round agree (see :class:`_Sched`).
 
 Plans and clock arithmetic
 --------------------------
@@ -74,20 +76,19 @@ An invocation splits into a static :class:`_Plan` and the clock
 arithmetic.  The plan depends only on ``(members, kind, algorithm,
 root)`` (an exchange's spec sits in the algorithm slot): the member
 index and node columns, the table entry, and per send round of the
-entry's shape the group-index src/dst columns, the interned FIFO keys
-and the hop-derived fixed wire cost.  :func:`plan` builds it once per
-run and keeps it in ``run._plans``, so a repeated invocation (lu2d's
-panel broadcasts repeat 94 % of the time, a halo epoch's exchanges
-every step) evaluates only the expressions that read clocks.  The
-table is bounded by :data:`PLAN_CAP_PAIRS` and is cleared when an
-insertion would exceed it.  A plan also records its widest round,
-which picks :class:`_Sched`'s storage form; it holds no list columns,
-so it stays ~32 bytes a pair whatever that form.
+entry's shape a :class:`_Round` -- group-rank src/dst columns, their
+world-rank twins, the interned FIFO keys and the hop-derived fixed
+wire cost.  :func:`plan` builds it once per run and keeps it in
+``run._plans``, so a repeated invocation (lu2d's panel broadcasts
+repeat 94 % of the time, a halo epoch's exchanges every step)
+evaluates only the expressions that read clocks.  The table is bounded
+by :data:`PLAN_CAP_PAIRS` and is cleared when an insertion would
+exceed it.
 
 The FIFO clamp's "can any recorded arrival exceed this round's?" test
 reads ``run._last_hi``, a monotone upper bound on every value in
-``run._last_arrival`` that the engine raises at each write, instead of
-scanning the table.
+``run._last_arrival`` that every write raises, instead of scanning the
+table.
 """
 
 from __future__ import annotations
@@ -104,20 +105,25 @@ from repro.simmpi.requests import CollectiveReq, copy_payload, payload_nbytes
 
 #: Bound on a run's plan table, in pair entries: one per member (index
 #: and node columns) plus one per planned message (src, dst, key and
-#: fixed-cost columns), about 32 bytes each.  One world tree plan at
-#: 2**20 ranks (2**21 - 1 entries) fits; a rotating-root world bcast
-#: would otherwise grow the table as p**2 pairs.
+#: fixed-cost columns, and for a group plan the world-rank src and dst
+#: columns), 32 to 48 bytes each; a narrow plan's ``pairs`` tuples add
+#: ~150 bytes a message, on rounds under :data:`VECTOR_WIDTH` pairs.
+#: One world tree plan at 2**20 ranks (2**21 - 1 entries) fits; a
+#: rotating-root world bcast would otherwise grow the table as p**2
+#: pairs.
 PLAN_CAP_PAIRS = 1 << 21
 
 #: Pairs in a plan's widest round from which :class:`_Sched` prices on
-#: NumPy columns; narrower plans price pair by pair on lists.  A
-#: vectorised round costs ~20 us of NumPy call overhead whatever its
-#: width, the pair loop ~1.7 us a pair, so the crossover is a round
-#: width, not a member count: dissemination barriers and exchanges
-#: (rounds as wide as the group) break even at 12-14 members, while a
-#: 32-member tree bcast (widest round 16) is still cheaper on lists.
-#: Chains have no rounds (width 0), so they always take the lists.
-VECTOR_WIDTH = 12
+#: NumPy columns; narrower plans price pair by pair on memoryviews.  A
+#: vectorised round costs ~20-35 us of NumPy call overhead whatever its
+#: width, the pair loops ~1.5 us a pair (a disjoint round's fused loop)
+#: to ~2 us (a cyclic round's sends, then its receives), so the
+#: crossover is a round width, not a member count: dissemination
+#: barriers and exchanges (rounds as wide as the group) break even at
+#: 14-16 members, while a 64-member tree bcast (widest round 32) would
+#: still be cheaper on the pair loop.  Chains have no rounds (width 0),
+#: so they always take the pair loop.
+VECTOR_WIDTH = 16
 
 
 class _Bail(Exception):
@@ -135,25 +141,50 @@ class ClosedForm(NamedTuple):
     evaluate: Callable[..., List[Any]]
 
 
+class _Round:
+    """One send round of a :class:`_Plan`.
+
+    ``srcs`` / ``dsts`` are the group-rank columns evaluators assemble
+    values along; ``wsrcs`` / ``wdsts`` the same pairs in world ranks
+    (the same arrays in a world plan), ``keys`` the interned FIFO keys
+    ``src * n + dst`` (int64) and ``fixed`` the wire cost ``alpha +
+    hops * tau`` per pair.  A narrow plan's round also carries
+    ``pairs``, one ``(src, dst, key, fixed)`` tuple of plain Python
+    numbers per message in world ranks, and ``disjoint``: no rank both
+    sends and receives in it (``None`` on a wide plan's round).
+    """
+
+    __slots__ = ("srcs", "dsts", "wsrcs", "wdsts", "keys", "fixed",
+                 "pairs", "disjoint")
+
+    def __init__(self, srcs, dsts, wsrcs, wdsts, keys, fixed, narrow: bool):
+        self.srcs, self.dsts, self.wsrcs, self.wdsts = srcs, dsts, wsrcs, wdsts
+        self.keys, self.fixed = keys, fixed
+        self.pairs = self.disjoint = None
+        if narrow:
+            self.pairs = list(zip(wsrcs.tolist(), wdsts.tolist(),
+                                  keys.tolist(), fixed.tolist()))
+            self.disjoint = set(srcs.tolist()).isdisjoint(dsts.tolist())
+
+
 class _Plan:
     """The clock-free part of a macro evaluation for one ``(members,
     kind, algorithm, root)``.
 
     ``idx`` maps group rank to global rank and ``nodes`` to machine
     node; ``form`` is the pair's :class:`ClosedForm` (``None``: no
-    closed form).  Each entry of ``rounds`` is one send round ``(srcs,
-    dsts, keys, fixed)``: group-rank columns, the interned FIFO keys
-    ``src * n + dst`` (int64), and the fixed wire cost ``alpha + hops *
-    tau`` per pair; ``width`` is the most pairs in any one round (0 for
-    a chain).  Everything here is a pure function of the run's
-    topology, rank map, link and size, all fixed for the run.
+    closed form).  ``rounds`` holds one :class:`_Round` per send round;
+    ``width`` is the most pairs in any one round (0 for a chain), and
+    ``narrow`` (``width < VECTOR_WIDTH``) picks how they are priced.
+    Everything here is a pure function of the run's topology, rank map,
+    link and size, all fixed for the run.
     """
 
     __slots__ = ("members", "idx", "nodes", "topo", "latency", "per_hop",
-                 "n", "form", "rounds", "size", "width")
+                 "n", "form", "rounds", "size", "width", "narrow", "world")
 
     def __init__(self, run: Any, members: Sequence[int],
-                 form: Optional[ClosedForm]):
+                 form: Optional[ClosedForm], world: bool):
         p = len(members)
         self.members = members
         self.idx = np.fromiter(members, np.intp, count=p)
@@ -165,19 +196,24 @@ class _Plan:
         self.per_hop = machine.link.per_hop_s
         self.n = run._n
         self.form = form
-        self.rounds: List[tuple] = []
+        self.world = world
+        self.rounds: List[_Round] = []
         self.size = p  # pair entries held, for the table bound
         self.width = 0
+        self.narrow = True
 
-    def round(self, srcs: np.ndarray, dsts: np.ndarray) -> tuple:
+    def round(self, srcs: np.ndarray, dsts: np.ndarray) -> _Round:
         """The static columns of one send round from group ranks
         ``srcs`` to ``dsts`` (distinct pairs; an evaluator bails before
         pricing a self-send)."""
         hops = self.topo.hops_array(self.nodes[srcs], self.nodes[dsts])
         fixed = np.where(hops == 0, 0.0, self.latency + hops * self.per_hop)
-        idx = self.idx
-        keys = idx[srcs].astype(np.int64) * self.n + idx[dsts]
-        return srcs, dsts, keys, fixed
+        if self.world:
+            wsrcs, wdsts = srcs, dsts
+        else:
+            wsrcs, wdsts = self.idx[srcs], self.idx[dsts]
+        keys = wsrcs.astype(np.int64) * self.n + wdsts
+        return _Round(srcs, dsts, wsrcs, wdsts, keys, fixed, self.narrow)
 
 
 # -- round shapes -------------------------------------------------------------
@@ -287,12 +323,15 @@ def plan(
     if found is not None:
         return found
     form = closed_form(kind, algorithm)
-    made = _Plan(run, run.world_members() if group is None else group, form)
+    world = group is None
+    made = _Plan(run, run.world_members() if world else group, form, world)
     if form is not None:
-        for srcs, dsts in form.rounds(len(made.members), root, algorithm):
-            made.rounds.append(made.round(srcs, dsts))
+        shapes = list(form.rounds(len(made.members), root, algorithm))
+        for srcs, _ in shapes:
             made.size += len(srcs)
             made.width = max(made.width, len(srcs))
+        made.narrow = made.width < VECTOR_WIDTH
+        made.rounds = [made.round(srcs, dsts) for srcs, dsts in shapes]
     size = made.size
     if size <= PLAN_CAP_PAIRS:
         if run._plan_pairs + size > PLAN_CAP_PAIRS:
@@ -304,73 +343,39 @@ def plan(
 
 
 class _Sched:
-    """Transactional per-collective scheduler state.
+    """Prices one invocation's messages straight into the run's state.
 
-    Clocks and stats are local absolute copies; ``overlay`` shadows the
-    run's per-pair FIFO clamp table.  Nothing escapes until
-    :meth:`commit`.
-
-    The copies come in one of two storage forms, picked here from the
-    plan's widest round.  A plan narrower than :data:`VECTOR_WIDTH`
-    (every chain, and trees, folds and shifts over small groups) keeps
-    them as Python lists, and :meth:`send_round` / :meth:`recv_round`
-    price its rounds pair by pair through the scalar :meth:`send` /
-    :meth:`recv`.  A wider plan keeps NumPy columns and prices each
-    round in a handful of array operations.  Both forms evaluate the
-    same float expressions per pair.
+    A narrow plan (``width < VECTOR_WIDTH``: every chain, and trees,
+    folds and shifts over small groups) prices pair by pair on the
+    run's memoryviews (``run._clk``, ``run._comm_t``, ...) through its
+    rounds' ``pairs``; a wide plan prices each round in a handful of
+    array operations on the ``run.ms`` columns, indexed by the round's
+    world-rank columns.  Both evaluate the same float expressions per
+    pair, and both probe and record the FIFO clamp in
+    ``run._last_arrival`` / ``run._last_hi`` as they go.
 
     They differ in when a round reads its clocks: the pair loop reads
-    ``clock[gd]`` for a rendezvous handshake after the round's earlier
+    ``clock[dst]`` for a rendezvous handshake after the round's earlier
     pairs have moved their sources' clocks, the vectorised round reads
     every clock first.  The two agree because every round that can
-    price a rendezvous size has disjoint sources and destinations: tree
-    fan-out and fan-in, and recursive doubling's fold and hand-back.
-    The cyclic evaluators (dissemination, butterfly, shifts, exchange)
-    bail on a rendezvous-sized round before pricing any pair of it.
+    price a rendezvous size is ``disjoint``: tree fan-out and fan-in,
+    and recursive doubling's fold and hand-back.  The cyclic evaluators
+    (dissemination, butterfly, shifts, exchange) bail on a
+    rendezvous-sized round before pricing anything.  On a disjoint
+    round a pair's receive touches only its destination, so
+    :meth:`round_trip` prices each pair's send and then its receive in
+    one loop.
     """
 
-    __slots__ = (
-        "run", "plan", "members", "p", "clock", "comm_t", "sent_n",
-        "sent_b", "recv_n", "recv_b", "eager_max", "ab", "n", "overlay",
-        "last", "oh_memo", "latency", "bw", "fifo_cap", "narrow",
-    )
+    __slots__ = ("run", "plan", "members", "p", "eager_max", "narrow")
 
-    def __init__(self, run: Any, plan: _Plan, clocks: Sequence[float]):
+    def __init__(self, run: Any, plan: _Plan):
         self.run = run
         self.plan = plan
         self.members = plan.members
         self.p = len(plan.members)
-        # Columnar gather: one fancy-index copy per stats column out of
-        # the run's MachineState.
-        idx = plan.idx
-        ms = run.ms
-        columns = (ms.comm_time[idx], ms.messages_sent[idx], ms.bytes_sent[idx],
-                   ms.messages_received[idx], ms.bytes_received[idx])
-        self.narrow = plan.width < VECTOR_WIDTH
-        if self.narrow:
-            # Lists: element access on them costs a fraction of a numpy
-            # scalar's, with the same IEEE arithmetic.
-            self.clock = (clocks.tolist() if type(clocks) is np.ndarray
-                          else list(clocks))
-            columns = [col.tolist() for col in columns]
-        else:
-            self.clock = np.array(clocks, dtype=np.float64)
-        self.comm_t, self.sent_n, self.sent_b, self.recv_n, self.recv_b = columns
         self.eager_max = run._eager_max
-        ab = run.delivery
-        self.ab = ab
-        self.n = run._n
-        self.overlay: dict = {}
-        self.last = run._last_arrival
-        # Upper bound on every arrival recorded in ``last`` + overlay:
-        # lets send_round prove "no FIFO clamp can fire this round" in
-        # O(1) and skip the per-pair dict probes entirely.
-        self.fifo_cap = run._last_hi
-        self.oh_memo = run._overhead
-        # src != dst in every round, so the sender overhead is the
-        # constant the memo would hold for every round pair.
-        self.latency = plan.latency
-        self.bw = ab._bw
+        self.narrow = plan.narrow
 
     # -- message primitives -------------------------------------------------
 
@@ -378,184 +383,210 @@ class _Sched:
         """One send issued at ``gs``'s current clock toward ``gd``.
 
         Valid only where ``gd``'s matching receive is posted at ``gd``'s
-        *current* local clock (true for the chains and for a round's
-        pairs: the receiver's recv is its next pending op).  Returns the message's
-        arrival time at the destination.
+        *current* clock (true for the chains: the receiver's recv is its
+        next pending op).  Returns the message's arrival time at the
+        destination.
         """
-        clock = self.clock
-        now = clock[gs]
-        rendezvous = nbytes > self.eager_max
-        if rendezvous:
-            post = clock[gd]
-            start = post if post > now else now  # handshake
-        else:
-            start = now
-        members = self.members
-        src = members[gs]
-        dst = members[gd]
-        key = src * self.n + dst
-        ab = self.ab
+        run = self.run
+        clk = run._clk
+        src = self.members[gs]
+        dst = self.members[gd]
+        now = start = clk[src]
+        if nbytes > self.eager_max:
+            post = clk[dst]
+            if post > now:
+                start = post  # handshake
+        key = src * run._n + dst
+        ab = run._ab
         fixed = ab._fixed.get(key)
         if fixed is None:
             arrival = ab.arrival(src, dst, nbytes, start)
         else:
             arrival = start + (fixed + nbytes / ab._bw)
-        overlay = self.overlay
-        prev = overlay.get(key)
-        if prev is None:
-            prev = self.last.get(key)
+        last = run._last_arrival
+        prev = last.get(key)
         if prev is not None and prev > arrival:
             arrival = prev
-        # Plain float: commit bulk-merges the overlay into the run
-        # table, so no numpy scalar may be stored here.
-        arrival = float(arrival)
-        overlay[key] = arrival
-        if arrival > self.fifo_cap:
-            self.fifo_cap = arrival
-        oh = self.oh_memo.get(key)
-        if oh is None:
-            oh = self.oh_memo[key] = ab.overhead(src, dst)
-        if rendezvous:
-            clock[gs] = start + oh
-            self.comm_t[gs] += (start - now) + oh
-        else:
-            clock[gs] = now + oh
-            self.comm_t[gs] += oh
-        self.sent_n[gs] += 1
-        self.sent_b[gs] += nbytes
+        last[key] = arrival
+        if arrival > run._last_hi:
+            run._last_hi = arrival
+        oh = run.overhead(src, dst)
+        clk[src] = start + oh
+        # (start - now) is exactly 0.0 for an eager send, so one
+        # expression reproduces both protocols' comm_time charges.
+        run._comm_t[src] += (start - now) + oh
+        run._sent_n[src] += 1
+        run._sent_b[src] += nbytes
         return arrival
 
-    def recv(self, gd: int, arrival: float, nbytes: int) -> float:
+    def recv(self, gd: int, arrival: float, nbytes: int) -> None:
         """Complete a blocking receive posted at ``gd``'s current clock."""
-        clock = self.clock
-        blocked_since = clock[gd]
-        completion = arrival if arrival > blocked_since else blocked_since
-        self.comm_t[gd] += completion - blocked_since
-        self.recv_n[gd] += 1
-        self.recv_b[gd] += nbytes
-        clock[gd] = completion
-        return completion
+        run = self.run
+        clk = run._clk
+        dst = self.members[gd]
+        blocked = clk[dst]
+        completion = arrival if arrival > blocked else blocked
+        run._comm_t[dst] += completion - blocked
+        run._recv_n[dst] += 1
+        run._recv_b[dst] += nbytes
+        clk[dst] = completion
 
     # -- round primitives ---------------------------------------------------
 
-    def send_round(self, rnd: tuple, nbytes) -> Sequence[float]:
+    def send_round(self, rnd: _Round, nbytes) -> Sequence[float]:
         """:meth:`send` for one permutation round; returns the arrival
-        per pair (a list on the narrow form, else an array).
+        per pair (a list on a narrow plan, else an array).
 
-        ``rnd`` is a non-empty :meth:`_Plan.round`: every listed source
+        ``rnd`` is a non-empty :class:`_Round`: every listed source
         issues one send; (src, dst) pairs are distinct, no pair is a
         self-send, and each destination's matching receive is posted at
-        its current clock (the acyclic / round-phased precondition of
-        :meth:`send`).  ``nbytes`` is a scalar or per-pair array.
-        Element for element the vectorised float expressions match
-        :meth:`send` exactly; callers inside cyclic schedules must
-        reject rendezvous sizes *before* calling.
+        its current clock.  ``nbytes`` is a scalar or per-pair array.
+        Element for element the vectorised float expressions match the
+        pair loop exactly; callers inside cyclic schedules must reject
+        rendezvous sizes *before* pricing anything.
         """
-        srcs, dsts, keys, fixed = rnd
+        run = self.run
+        oh = self.plan.latency  # src != dst: the overhead memo's value
+        bw = run._ab._bw
+        last = run._last_arrival
         if self.narrow:
+            clk, comm_t = run._clk, run._comm_t
+            sent_n, sent_b = run._sent_n, run._sent_b
+            eager_max = self.eager_max
+            hi = run._last_hi
+            arrivals = []
             sizes = nbytes.tolist() if type(nbytes) is np.ndarray else repeat(nbytes)
-            return list(map(self.send, srcs.tolist(), dsts.tolist(), sizes))
-        clock = self.clock
+            for (src, dst, key, fixed), nb in zip(rnd.pairs, sizes):
+                now = start = clk[src]
+                if nb > eager_max:
+                    post = clk[dst]
+                    if post > now:
+                        start = post  # handshake
+                arrival = start + (fixed + nb / bw)
+                prev = last.get(key)
+                if prev is not None and prev > arrival:
+                    arrival = prev
+                last[key] = arrival
+                if arrival > hi:
+                    hi = arrival
+                clk[src] = start + oh
+                comm_t[src] += (start - now) + oh
+                sent_n[src] += 1
+                sent_b[src] += nb
+                arrivals.append(arrival)
+            run._last_hi = hi
+            return arrivals
+        srcs = rnd.wsrcs
+        ms = run.ms
+        clock = ms.clock
         now = clock[srcs]
         # Rendezvous handshake: start no earlier than the posted receive.
         if type(nbytes) is np.ndarray:
             starts = np.where(
-                nbytes > self.eager_max, np.maximum(clock[dsts], now), now
+                nbytes > self.eager_max, np.maximum(clock[rnd.wdsts], now), now
             )
         elif nbytes > self.eager_max:
-            starts = np.maximum(clock[dsts], now)
+            starts = np.maximum(clock[rnd.wdsts], now)
         else:
             starts = now
-        arrivals = starts + (fixed + nbytes / self.bw)
-        # Per-pair FIFO clamp against the run's live table + overlay.
-        keys = keys.tolist()
-        overlay = self.overlay
-        cap = self.fifo_cap
-        if cap > float(arrivals.min()):
+        arrivals = starts + (rnd.fixed + nbytes / bw)
+        # Per-pair FIFO clamp against the run's table.
+        keys = rnd.keys.tolist()
+        if run._last_hi > float(arrivals.min()):
             # Some recorded arrival could exceed one of this round's:
-            # probe both tables through C-level ``map(dict.get, ...)``
-            # and clamp vectorised (a Python per-pair loop here costs
-            # seconds per round at 10^5+ ranks).  An overlay entry is
-            # always >= the run-table entry for the same key (it was
-            # max-combined against it when stored), so taking the max
-            # of both probes equals the overlay-first lookup.
-            n_keys = len(keys)
-            sentinel = float("-inf")
+            # probe the table through C-level ``map(dict.get, ...)`` and
+            # clamp vectorised (a Python per-pair loop here costs
+            # seconds per round at 10^5+ ranks).
             prev = np.fromiter(
-                map(self.last.get, keys, repeat(sentinel)),
+                map(last.get, keys, repeat(float("-inf"))),
                 np.float64,
-                count=n_keys,
+                count=len(keys),
             )
-            if overlay:
-                np.maximum(
-                    prev,
-                    np.fromiter(
-                        map(overlay.get, keys, repeat(sentinel)),
-                        np.float64,
-                        count=n_keys,
-                    ),
-                    out=prev,
-                )
             if bool((prev > arrivals).any()):
                 arrivals = np.maximum(arrivals, prev)
         # Record the round in one bulk update instead of p dict stores
-        # (tolist yields plain floats -- commit bulk-merges the overlay
-        # into the run table).
-        overlay.update(zip(keys, arrivals.tolist()))
+        # (tolist yields plain floats, as the scalar paths store).
+        last.update(zip(keys, arrivals.tolist()))
         new_max = float(arrivals.max())
-        if new_max > cap:
-            self.fifo_cap = new_max
-        oh = self.latency
+        if new_max > run._last_hi:
+            run._last_hi = new_max
         clock[srcs] = starts + oh
         # (starts - now) is exactly 0.0 for eager sends, so one fused
         # expression reproduces both protocols' comm_time charges.
-        self.comm_t[srcs] += (starts - now) + oh
-        self.sent_n[srcs] += 1
-        self.sent_b[srcs] += nbytes
+        ms.comm_time[srcs] += (starts - now) + oh
+        ms.messages_sent[srcs] += 1
+        ms.bytes_sent[srcs] += nbytes
         return arrivals
 
-    def recv_round(self, dsts, arrivals, nbytes) -> None:
-        """:meth:`recv` over distinct destinations."""
+    def recv_round(self, rnd: _Round, arrivals, nbytes) -> None:
+        """:meth:`recv` at each of ``rnd``'s (distinct) destinations."""
+        run = self.run
         if self.narrow:
+            clk, comm_t = run._clk, run._comm_t
+            recv_n, recv_b = run._recv_n, run._recv_b
             sizes = nbytes.tolist() if type(nbytes) is np.ndarray else repeat(nbytes)
-            for args in zip(dsts.tolist(), arrivals, sizes):
-                self.recv(*args)
+            for pair, arrival, nb in zip(rnd.pairs, arrivals, sizes):
+                dst = pair[1]
+                blocked = clk[dst]
+                completion = arrival if arrival > blocked else blocked
+                comm_t[dst] += completion - blocked
+                recv_n[dst] += 1
+                recv_b[dst] += nb
+                clk[dst] = completion
             return
-        clock = self.clock
+        dsts = rnd.wdsts
+        ms = run.ms
+        clock = ms.clock
         blocked = clock[dsts]
         completion = np.maximum(arrivals, blocked)
-        self.comm_t[dsts] += completion - blocked
-        self.recv_n[dsts] += 1
-        self.recv_b[dsts] += nbytes
+        ms.comm_time[dsts] += completion - blocked
+        ms.messages_received[dsts] += 1
+        ms.bytes_received[dsts] += nbytes
         clock[dsts] = completion
 
-    def round_trip(self, rnd: tuple, nbytes) -> None:
+    def round_trip(self, rnd: _Round, nbytes) -> None:
         """One round's sends, then its receives at the round's
-        destinations (the round-phased shape every evaluator prices)."""
-        self.recv_round(rnd[1], self.send_round(rnd, nbytes), nbytes)
+        destinations (the round-phased shape every evaluator prices).
 
-    def commit(self) -> None:
-        # The caller's resume times must be plain Python floats (no
-        # numpy scalars in the event loop's heap tuples); the committed
-        # columns hold the same float64 bits either way.
-        clock = self.clock if self.narrow else self.clock.tolist()
-        # One fancy-index assignment per column writes the whole group
-        # back to the MachineState.
-        ms = self.run.ms
-        idx = self.plan.idx
-        ms.clock[idx] = self.clock
-        ms.comm_time[idx] = self.comm_t
-        ms.messages_sent[idx] = self.sent_n
-        ms.bytes_sent[idx] = self.sent_b
-        ms.messages_received[idx] = self.recv_n
-        ms.bytes_received[idx] = self.recv_b
-        # Every overlay value is a plain Python float by construction
-        # (send coerces, the round primitives store tolist products), so
-        # the merge is one C-level bulk update.
-        self.last.update(self.overlay)
-        # fifo_cap started at the run's bound and only grew.
-        self.run._last_hi = self.fifo_cap
-        self.clock = clock
+        A disjoint narrow round with one size runs as one fused pair
+        loop, each pair's send then its receive: the loop body is
+        :meth:`send_round`'s then :meth:`recv_round`'s, and no pair's
+        receive can touch another pair's source.
+        """
+        if not rnd.disjoint or type(nbytes) is np.ndarray:
+            self.recv_round(rnd, self.send_round(rnd, nbytes), nbytes)
+            return
+        run = self.run
+        clk, comm_t = run._clk, run._comm_t
+        sent_n, sent_b = run._sent_n, run._sent_b
+        recv_n, recv_b = run._recv_n, run._recv_b
+        last = run._last_arrival
+        hi = run._last_hi
+        oh = self.plan.latency
+        wire = nbytes / run._ab._bw
+        rendezvous = nbytes > self.eager_max
+        for src, dst, key, fixed in rnd.pairs:
+            now = start = clk[src]
+            blocked = clk[dst]
+            if rendezvous and blocked > now:
+                start = blocked  # handshake
+            arrival = start + (fixed + wire)
+            prev = last.get(key)
+            if prev is not None and prev > arrival:
+                arrival = prev
+            last[key] = arrival
+            if arrival > hi:
+                hi = arrival
+            clk[src] = start + oh
+            comm_t[src] += (start - now) + oh
+            sent_n[src] += 1
+            sent_b[src] += nbytes
+            completion = arrival if arrival > blocked else blocked
+            comm_t[dst] += completion - blocked
+            recv_n[dst] += 1
+            recv_b[dst] += nbytes
+            clk[dst] = completion
+        run._last_hi = hi
 
 
 #: Exact payload types that are 8 wire bytes and copy as themselves.
@@ -588,7 +619,9 @@ def _round_sizes(values: Sequence[Any]) -> Tuple[Any, int, bool]:
 # plan's rounds (all sends of a round, then all recvs), or in dependency
 # order for the two chains.  Within a round, distinct ranks and distinct
 # (src, dst) pairs make evaluation order irrelevant.  Every evaluator
-# takes ``(sched, reqs, ghost)``; see :func:`evaluate`.
+# takes ``(sched, reqs, ghost)`` (see :func:`evaluate`) and raises
+# ``_Bail`` only before its first priced message: pricing writes the
+# run's state in place.
 
 
 def _eval_barrier(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
@@ -640,8 +673,8 @@ def _eval_bcast_tree(
     n_out = 1 if ghost else s.p
     if scalars:
         return [value] * n_out
-    cp = copy_payload
-    return [value if g == root else cp(value) for g in range(n_out)]
+    cp = value.copy if type(value) is np.ndarray else partial(copy_payload, value)
+    return [value if g == root else cp() for g in range(n_out)]
 
 
 def _eval_bcast_ring(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
@@ -686,19 +719,20 @@ def _eval_bcast_flat(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> L
     return out
 
 
-def _fold(s: _Sched, rnd: tuple, accs: List[Any], reqs: Sequence[CollectiveReq]) -> None:
-    """One acyclic fold round: every source sends its accumulator and
-    every destination combines it into its own with *its own* resolved
-    op, as the event path does."""
-    senders = rnd[0].tolist()
+def _fold(rnd: _Round, accs: List[Any], reqs: Sequence[CollectiveReq]):
+    """One acyclic fold round's values: every source sends its
+    accumulator and every destination combines it into its own with
+    *its own* resolved op, as the event path does.  Returns the round's
+    wire size for the caller to price."""
+    senders = rnd.srcs.tolist()
     nbytes, _, scalars = _round_sizes([accs[g] for g in senders])
-    s.round_trip(rnd, nbytes)
     if scalars:
-        for src, g in zip(senders, rnd[1].tolist()):
+        for src, g in zip(senders, rnd.dsts.tolist()):
             accs[g] = reqs[g].op(accs[g], accs[src])
     else:
-        for src, g in zip(senders, rnd[1].tolist()):
+        for src, g in zip(senders, rnd.dsts.tolist()):
             accs[g] = reqs[g].op(accs[g], copy_payload(accs[src]))
+    return nbytes
 
 
 def _eval_reduce(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
@@ -706,7 +740,7 @@ def _eval_reduce(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[
     disjoint."""
     accs = [req.value for req in reqs]  # by group rank
     for rnd in s.plan.rounds:
-        _fold(s, rnd, accs, reqs)
+        s.round_trip(rnd, _fold(rnd, accs, reqs))
     root = reqs[0].root
     out: List[Any] = [None] * s.p
     out[root] = accs[root]
@@ -717,22 +751,22 @@ def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) ->
     """Recursive doubling over the plan's rounds: the acyclic fold of
     the non-power-of-two excess, the eager-only butterfly, and the
     acyclic hand-back (fold and hand-back exist only when p is not a
-    power of two)."""
+    power of two).  Every round's values and wire size come first, so
+    a rendezvous-sized butterfly round bails before anything is
+    priced."""
     p = s.p
     accs = [req.value for req in reqs]
     pof2 = 1 << (p.bit_length() - 1)
     rem = p - pof2
-    butterfly = s.plan.rounds
-    if rem:
-        fold, *butterfly, hand_back = butterfly
-        _fold(s, fold, accs, reqs)
+    rounds = s.plan.rounds
+    sizes = [_fold(rounds[0], accs, reqs)] if rem else []
     mask = 1
-    for rnd in butterfly:
+    while mask < pof2:
         snapshot = accs[:pof2]  # payloads are the round-start accumulators
         nbytes, nb_max, scalars = _round_sizes(snapshot)
         if nb_max > s.eager_max:
             raise _Bail  # rendezvous inside the butterfly: event path decides
-        s.round_trip(rnd, nbytes)
+        sizes.append(nbytes)
         if scalars:
             for r in range(pof2):
                 accs[r] = reqs[r].op(accs[r], snapshot[r ^ mask])
@@ -743,9 +777,11 @@ def _eval_allreduce_rd(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) ->
     if rem:
         # The receivers have been idle since their fold sends.
         nbytes, _, scalars = _round_sizes(accs[:rem])
-        s.round_trip(hand_back, nbytes)
+        sizes.append(nbytes)
         for r in range(rem):
             accs[r + pof2] = accs[r] if scalars else copy_payload(accs[r])
+    for rnd, nbytes in zip(rounds, sizes):
+        s.round_trip(rnd, nbytes)
     return accs
 
 
@@ -787,7 +823,8 @@ def _eval_allgather_ring(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) 
 
 def _eval_alltoall(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> List[Any]:
     """Cyclic alltoall: in the plan's shift round k rank r sends its
-    block for ``r + k`` to it; a rendezvous-sized block bails."""
+    block for ``r + k`` to it; a rendezvous-sized block in any round
+    bails before anything is priced."""
     p = s.p
     vals = [req.value for req in reqs]  # each a length-p list of payloads
     outs: List[List[Any]] = []
@@ -795,19 +832,23 @@ def _eval_alltoall(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> Lis
         o: List[Any] = [None] * p
         o[r] = vals[r][r]  # own slot keeps the original object
         outs.append(o)
-    for rnd in s.plan.rounds:
-        dsts = rnd[1].tolist()
+    rounds = s.plan.rounds
+    sizes = []
+    for rnd in rounds:
+        dsts = rnd.dsts.tolist()
         blocks = [vals[r][d] for r, d in enumerate(dsts)]
         nbytes, nb_max, scalars = _round_sizes(blocks)
         if nb_max > s.eager_max:
             raise _Bail
-        s.round_trip(rnd, nbytes)
+        sizes.append(nbytes)
         if scalars:
             for r, d in enumerate(dsts):
                 outs[d][r] = blocks[r]
         else:
             for r, d in enumerate(dsts):
                 outs[d][r] = copy_payload(blocks[r])
+    for rnd, nbytes in zip(rounds, sizes):
+        s.round_trip(rnd, nbytes)
     return outs
 
 
@@ -867,14 +908,14 @@ def _eval_exchange(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> Lis
 
     rounds = s.plan.rounds  # offset j: every rank with a peer -> that peer
     arrivals = [
-        s.send_round(rnd, nb[j]) if len(rnd[0]) else None
+        s.send_round(rnd, nb[j]) if len(rnd.srcs) else None
         for j, rnd in enumerate(rounds)
     ]
     mirrors = spec.mirrors
     for j in range(k):
         m = mirrors[j]
         if arrivals[m] is not None:
-            s.recv_round(rounds[m][1], arrivals[m], nb[m])
+            s.recv_round(rounds[m], arrivals[m], nb[m])
 
     # Rank r's offset-j slot holds its offset-j peer's mirror payload.
     # Build per-offset delivery columns, then transpose: the column
@@ -888,7 +929,7 @@ def _eval_exchange(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> Lis
         row0: List[Any] = []
         for j in range(k):
             m = mirrors[j]
-            srcs = rounds[j][0]
+            srcs = rounds[j].srcs
             if not len(srcs) or srcs[0] != 0:
                 row0.append(None)
             elif immutable[m]:
@@ -898,11 +939,11 @@ def _eval_exchange(s: _Sched, reqs: Sequence[CollectiveReq], ghost: bool) -> Lis
         return [row0]
     delivered: List[List[Any]] = []
     for j in range(k):
-        srcs, peers = rounds[j][0], rounds[j][1]
+        srcs, peers = rounds[j].srcs, rounds[j].dsts
         if len(srcs) < p:
             # Open grid: -1 marks the ranks whose offset leaves it.
             peers = np.full(p, -1, dtype=np.intp)
-            peers[srcs] = rounds[j][1]
+            peers[srcs] = rounds[j].dsts
         pl = peers.tolist()
         m = mirrors[j]
         if immutable[m]:
@@ -942,16 +983,18 @@ def evaluate(
     run: Any,
     plan: _Plan,
     reqs: Sequence[CollectiveReq],
-    clocks: Sequence[float],
     ghost: bool = False,
-) -> Optional[Tuple[List[float], List[Any]]]:
+) -> Optional[List[Any]]:
     """Evaluate one complete collective invocation analytically.
 
-    ``plan`` is this invocation's :func:`plan`; ``reqs``/``clocks`` are
-    indexed by group rank.  Returns ``(finish_times, values)`` per
-    group rank with clocks/stats/clamp-state already committed, or
-    ``None`` when the schedule cannot be reproduced exactly (the caller
-    then falls back to the event path; nothing observable was mutated).
+    ``plan`` is this invocation's :func:`plan`; ``reqs`` is indexed by
+    group rank, and the members' entry clocks are their clocks in
+    ``run.ms``.  Returns the values per group rank, with every member's
+    clock column holding its finish time and its stats and the FIFO
+    clamp state updated; or ``None`` when the schedule cannot be
+    reproduced exactly (the caller then falls back to the event path;
+    the evaluator decided that before pricing, so nothing observable was
+    mutated).
 
     ``ghost`` is ghost replay's contract: every entry of ``reqs`` is
     the *same* request object (a symmetric program priced from rank 0's
@@ -964,10 +1007,7 @@ def evaluate(
     form = plan.form
     if form is None:
         return None
-    s = _Sched(run, plan, clocks)
     try:
-        out = form.evaluate(s, reqs, ghost)
+        return form.evaluate(_Sched(run, plan), reqs, ghost)
     except _Bail:
         return None
-    s.commit()
-    return s.clock, out

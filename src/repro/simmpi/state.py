@@ -3,8 +3,8 @@
 The engine's numeric hot state -- virtual clocks, lifecycle flags, and
 the :class:`~repro.simmpi.trace.RankStats` accumulators -- lives in one
 :class:`MachineState`: parallel numpy arrays indexed by rank (structure
-of arrays, one column per field).  Whole-machine operations (macro-op
-commits, stats finalization, makespan reduction) become single array
+of arrays, one column per field).  Whole-machine operations (wide
+macro-op rounds, stats finalization, makespan reduction) become single array
 expressions instead of per-object loops, which is what lets the
 simulator hold its footprint at 10^4..10^6 ranks.
 

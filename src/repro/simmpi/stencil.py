@@ -15,8 +15,9 @@ and whether the grid wraps.  :func:`exchange` (exposed as
 ``comm.exchange``) executes it: under engine macro-ops the whole phase
 becomes one :class:`~repro.simmpi.requests.CollectiveReq` priced by
 the ``("exchange", "stencil")`` entry of
-:data:`repro.simmpi.macro.TABLE` -- the same transactional
-clocks/stats/FIFO-overlay machinery the collective evaluators use.
+:data:`repro.simmpi.macro.TABLE` -- it decides every bail before it
+prices, then prices in place on the run's clocks, stats and FIFO
+table, as the collective evaluators do.
 Its rounds, one per offset built from :meth:`StencilSpec.peer_columns`,
 live in the run's plan table under ``(None, "exchange", spec, 0)``, so
 a multi-step halo derives them once per run.  Otherwise (tracing,

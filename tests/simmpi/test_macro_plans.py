@@ -7,14 +7,15 @@ whatever mix of traffic wrote them.  The plan table is bounded by
 plan per root, and the table must clear instead of growing past the
 cap, without changing a result.  Stencil exchanges keep their rounds
 in the same table, one plan per declared spec.  A plan narrower than
-``macro.VECTOR_WIDTH`` prices on list columns, a wider one on NumPy
-arrays, and either way the finish times handed back to the event loop
-are plain floats.
+``macro.VECTOR_WIDTH`` prices pair by pair on the run's memoryviews, a
+wider one on its NumPy columns, and either way the resume times handed
+to the event loop are plain floats.
 """
 
 import numpy as np
 import pytest
 
+import repro.simmpi.engine as engine_mod
 import repro.simmpi.macro as macro
 from repro.analyze.certify import certify_macro
 from repro.machine.presets import touchstone_delta
@@ -23,17 +24,19 @@ from repro.simmpi import Engine, grid_halo
 from .test_macro_equivalence import _assert_identical
 
 
-def _spy_sched(monkeypatch, check):
-    """Call ``check(run, plan)`` at every macro invocation."""
+def _spy_evaluate(monkeypatch, check):
+    """Call ``check(run, plan)`` at every macro evaluation, before it
+    prices (the event loop and ghost replay both call through the
+    engine module's binding)."""
     calls = []
-    init = macro._Sched.__init__
+    evaluate = engine_mod._macro_evaluate
 
-    def spy(self, run, plan, clocks):
+    def spy(run, plan, reqs, ghost=False):
         check(run, plan)
         calls.append(plan)
-        init(self, run, plan, clocks)
+        return evaluate(run, plan, reqs, ghost)
 
-    monkeypatch.setattr(macro._Sched, "__init__", spy)
+    monkeypatch.setattr(engine_mod, "_macro_evaluate", spy)
     return calls
 
 
@@ -73,7 +76,7 @@ def test_last_hi_bounds_every_recorded_arrival(monkeypatch):
     def check(run, plan):
         assert run._last_hi >= max(run._last_arrival.values(), default=float("-inf"))
 
-    calls = _spy_sched(monkeypatch, check)
+    calls = _spy_evaluate(monkeypatch, check)
     macro_res = _run(_mixed_traffic, 12, True, eager=1024.0)
     # 2 groups x 4 steps x 4 collectives.  A few fall back before
     # evaluation: the next step's eager send can reach a member still
@@ -102,7 +105,7 @@ def test_plan_table_stays_under_its_cap(monkeypatch, cap):
         assert run._plan_pairs == sum(pl.size for pl in run._plans.values())
         held.append(len(run._plans))
 
-    _spy_sched(monkeypatch, check)
+    _spy_evaluate(monkeypatch, check)
     res = _run(_rotating_root, 16, True)
     assert len(held) == 48
     assert max(held) == (2 if cap == 64 else 0)
@@ -129,7 +132,7 @@ def test_exchange_builds_one_plan_per_spec_and_reuses_it(monkeypatch):
     def check(run, plan):
         keys.extend(k for k, v in run._plans.items() if v is plan)
 
-    calls = _spy_sched(monkeypatch, check)
+    calls = _spy_evaluate(monkeypatch, check)
     res = _run(_two_phase_halo, 16, True)
     assert res.macro_fallbacks == 0
     assert len(calls) == 6
@@ -153,7 +156,7 @@ def test_exchange_plans_stay_under_the_cap(monkeypatch, cap):
         assert run._plan_pairs == sum(pl.size for pl in run._plans.values())
         held.append(len(run._plans))
 
-    _spy_sched(monkeypatch, check)
+    _spy_evaluate(monkeypatch, check)
     res = _run(_two_phase_halo, 16, True)
     assert len(held) == 6
     assert max(held) == (1 if cap == 100 else 0)
@@ -180,28 +183,32 @@ def _world_bcast_barrier(comm):
 
 def test_narrow_plans_price_on_lists_and_wide_on_arrays(monkeypatch):
     seen = []
-    commit = macro._Sched.commit
 
-    def spy(self):
-        form = type(self.comm_t)
-        commit(self)
-        seen.append((self.plan.width, form, self.clock))
+    def check(run, plan):
+        # Only a narrow plan's rounds carry the per-pair lists the pair
+        # loop walks.
+        assert all((rnd.pairs is not None) == plan.narrow for rnd in plan.rounds)
+        seen.append((plan.width, plan.narrow))
 
-    monkeypatch.setattr(macro._Sched, "commit", spy)
+    _spy_evaluate(monkeypatch, check)
+    run_macro = engine_mod._Run._run_macro
+
+    def resumed_at_floats(self, key, reqs):
+        run_macro(self, key, reqs)
+        assert all(type(event[0]) is float for event in self._heap)
+        assert self._fast is None or type(self._fast[0]) is float
+
+    monkeypatch.setattr(engine_mod._Run, "_run_macro", resumed_at_floats)
     res = _run(_narrow_and_wide, 32, True)
     assert res.macro_fallbacks == 0
-    assert {(w, f) for w, f, _ in seen} == {
-        (4, list), (8, list), (0, list), (16, np.ndarray), (32, np.ndarray)
+    assert set(seen) == {
+        (4, True), (8, True), (0, True), (16, False), (32, False)
     }
-    # Ghost replay hands evaluate the live clock column.
+    # Ghost replay prices on the same two forms.
     for p in (8, 32):
         cert = certify_macro(_world_bcast_barrier, p)
         assert cert.symmetric
         ghost = Engine(touchstone_delta(), p, certificate=cert)
         assert ghost.run(_world_bcast_barrier).returns == [2.5] * p
-    assert {(w, f) for w, f, _ in seen[-4:]} == {
-        (4, list), (8, list), (16, np.ndarray), (32, np.ndarray)
-    }
-    for _, _, finishes in seen:
-        assert all(type(t) is float for t in finishes)
+    assert set(seen[-4:]) == {(4, True), (8, True), (16, False), (32, False)}
     _assert_identical(res, _run(_narrow_and_wide, 32, False))

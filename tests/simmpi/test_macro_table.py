@@ -9,13 +9,16 @@ the collective API -- positional signatures and default algorithms --
 must match the ``Comm`` methods, or certification would check a pair
 other than the one the engine dispatches.
 
-The list form of ``macro._Sched`` prices a round pair by pair, so a
+The narrow form of ``macro._Sched`` prices a round pair by pair, so a
 rendezvous handshake there reads the destination's clock after the
 round's earlier sends.  That equals the vectorised round only if every
 round priced at a rendezvous size has disjoint sources and
 destinations: the acyclic entries' rounds are disjoint, and the cyclic
 rounds bail before they are priced.  Both halves are checked against
-the table.
+the table, as is the plan's ``disjoint`` bit that picks the fused
+send-then-receive pair loop.  Evaluators price in place on the run's
+state, so every bail must come before the first priced message: a
+``None`` from ``evaluate`` leaves the run exactly as it found it.
 """
 
 import inspect
@@ -32,7 +35,7 @@ from repro.machine.presets import touchstone_delta
 from repro.simmpi import Engine
 from repro.simmpi.comm import Comm
 from repro.simmpi.group import GroupComm
-from repro.simmpi.stencil import grid_halo
+from repro.simmpi.stencil import grid_halo, strip_halo
 from repro.util.errors import DeadlockError
 
 P = 4
@@ -132,15 +135,50 @@ def test_pairs_outside_the_table_never_park_and_are_refused(monkeypatch, kind, a
         certify_macro(PROGRAMS[kind], P, assume={"alg": algorithm})
 
 
-#: Entries whose evaluator can price a rendezvous-sized round.
-ACYCLIC = [
-    ("allreduce", "recursive_doubling"),
-    ("bcast", "tree"),
-    ("bcast", "tree_nb"),
-    ("reduce", "binomial"),
-]
-#: Entries with no rounds: they price message by message.
-CHAINS = [("bcast", "ring"), ("bcast", "flat")]
+def _plan(p, kind, algorithm, root=0):
+    """The world plan of ``(kind, algorithm)`` over ``p`` ranks; an
+    exchange runs the wrapped strip spec."""
+    run = engine_mod._Run(Engine(touchstone_delta(), p))
+    if kind == "exchange":
+        algorithm = strip_halo(p)
+    return macro.plan(run, None, kind, algorithm, root)
+
+
+def _derived(p=6):
+    """``(ACYCLIC, CHAINS)`` from the plans at ``p`` (not a power of
+    two, so recursive doubling has its fold and hand-back)."""
+    plans = {entry: _plan(p, *entry, root=1) for entry in sorted(macro.TABLE)}
+    return (
+        [e for e, pl in plans.items() if any(r.disjoint for r in pl.rounds)],
+        [e for e, pl in plans.items() if not pl.rounds],
+    )
+
+
+#: Entries with a disjoint round: their evaluators can price a
+#: rendezvous-sized round.  Entries with no rounds are chains: they
+#: price message by message.
+ACYCLIC, CHAINS = _derived()
+
+
+def test_derived_lists_name_the_trees_folds_and_chains():
+    assert ACYCLIC == [
+        ("allreduce", "recursive_doubling"),
+        ("bcast", "tree"),
+        ("bcast", "tree_nb"),
+        ("reduce", "binomial"),
+    ]
+    assert CHAINS == [("bcast", "flat"), ("bcast", "ring")]
+
+
+@pytest.mark.parametrize("kind,algorithm", sorted(macro.TABLE))
+def test_disjoint_bit_is_no_rank_on_both_ends(monkeypatch, kind, algorithm):
+    monkeypatch.setattr(macro, "VECTOR_WIDTH", 1 << 30)  # every plan narrow
+    for p in range(2, 65):
+        for root in range(p) if kind in ("bcast", "reduce") else [0]:
+            for rnd in _plan(p, kind, algorithm, root).rounds:
+                srcs, dsts = rnd.srcs.tolist(), rnd.dsts.tolist()
+                assert rnd.disjoint == (not set(srcs) & set(dsts)), (p, root)
+                assert [(s, d) for s, d, _, _ in rnd.pairs] == list(zip(srcs, dsts))
 
 
 def _rendezvous_rounds(kind, algorithm, p, root):
@@ -170,19 +208,20 @@ def test_cyclic_rounds_bail_before_pricing_a_rendezvous_size(
     monkeypatch, kind, algorithm
 ):
     """Under an all-rendezvous threshold, no round with a rank on both
-    ends reaches the list form's pair loop with a rendezvous size: the
-    evaluator either prices only eager or disjoint rounds, or bails to
-    the event path first."""
+    ends reaches the narrow form's pair loops with a rendezvous size:
+    the evaluator either prices only eager or disjoint rounds, or bails
+    to the event path first."""
     priced = []
-    send_round = macro._Sched.send_round
 
-    def spy(self, rnd, nbytes):
-        assert self.narrow
-        srcs, dsts = rnd[0].tolist(), rnd[1].tolist()
-        rendezvous = int(np.max(nbytes)) > self.eager_max
-        assert not (rendezvous and set(srcs) & set(dsts))
-        priced.append(rnd)
-        return send_round(self, rnd, nbytes)
+    def checked(price):
+        def spy(self, rnd, nbytes):
+            assert self.narrow
+            srcs, dsts = rnd.srcs.tolist(), rnd.dsts.tolist()
+            rendezvous = int(np.max(nbytes)) > self.eager_max
+            assert not (rendezvous and set(srcs) & set(dsts))
+            priced.append(rnd)
+            return price(self, rnd, nbytes)
+        return spy
 
     results = []
     evaluate = engine_mod._macro_evaluate
@@ -191,7 +230,10 @@ def test_cyclic_rounds_bail_before_pricing_a_rendezvous_size(
         results.append(evaluate(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(macro._Sched, "send_round", spy)
+    # round_trip fuses a disjoint round's pair loop; every other round
+    # goes through send_round.
+    for name in ("round_trip", "send_round"):
+        monkeypatch.setattr(macro._Sched, name, checked(getattr(macro._Sched, name)))
     monkeypatch.setattr(engine_mod, "_macro_evaluate", spy_evaluate)
     engine = Engine(touchstone_delta(), P, seed=1, eager_threshold_bytes=0.0)
     try:
@@ -200,6 +242,75 @@ def test_cyclic_rounds_bail_before_pricing_a_rendezvous_size(
         pass  # the event path's legitimate answer to a cyclic rendezvous
     # The macro layer ran: it priced rounds, or it bailed.
     assert priced or None in results
+
+
+def _straddling(comm, kind, alg):
+    """A barrier (to fill the FIFO table), unequal compute, then one
+    ``kind`` collective whose payloads straddle the test thresholds:
+    128-byte arrays, an alltoall whose last shift round alone carries
+    a 2 KiB block, and an allgather of mixed sizes."""
+    p, r = comm.size, comm.rank
+    yield from comm.barrier()
+    yield from comm.compute(seconds=1e-6 * (r * 7 % 5))
+    big = np.full(16, float(r))
+    if kind == "barrier":
+        yield from comm.barrier()
+    elif kind == "bcast":
+        yield from comm.bcast(big, root=p // 2, algorithm=alg)
+    elif kind == "reduce":
+        yield from comm.reduce(big, root=p // 2)
+    elif kind == "allreduce":
+        yield from comm.allreduce(big, algorithm=alg)
+    elif kind == "allgather":
+        yield from comm.allgather(big if r % 2 else float(r), algorithm=alg)
+    elif kind == "alltoall":
+        blocks = [float(d) for d in range(p)]
+        blocks[(r - 1) % p] = np.full(256, float(r))
+        yield from comm.alltoall(blocks, algorithm=alg)
+    else:
+        yield from comm.exchange(strip_halo(p), [big, big + 1.0])
+
+
+def _state(run):
+    ms = run.ms
+    return ({name: getattr(ms, name).copy() for name in ms.__slots__
+             if isinstance(getattr(ms, name), np.ndarray)},
+            dict(run._last_arrival), run._last_hi)
+
+
+@pytest.mark.parametrize("kind,algorithm", sorted(macro.TABLE))
+def test_a_bail_leaves_the_run_untouched(monkeypatch, kind, algorithm):
+    """Whenever ``evaluate`` returns ``None``, the clock and stats
+    columns and the FIFO clamp state are exactly what they were."""
+    bails = set()
+    evaluate = engine_mod._macro_evaluate
+
+    def spy(run, plan, reqs, ghost=False):
+        columns, last, hi = _state(run)
+        out = evaluate(run, plan, reqs, ghost)
+        if out is None:
+            after, last_after, hi_after = _state(run)
+            for name, col in columns.items():
+                np.testing.assert_array_equal(after[name], col, err_msg=name)
+            assert last_after == last and hi_after == hi
+            bails.add((len(plan.members), run._eager_max))
+        return out
+
+    monkeypatch.setattr(engine_mod, "_macro_evaluate", spy)
+    for p in (3, 4, 5, 8, 13, 16):
+        for eager in (0.0, 64.0, 1024.0, float("inf")):
+            engine = Engine(touchstone_delta(), p, seed=1, eager_threshold_bytes=eager)
+            try:
+                engine.run(_straddling, kind, algorithm)
+            except DeadlockError:
+                pass  # the event path's answer to a cyclic rendezvous
+    if kind == "allreduce":
+        # The fold is acyclic and rendezvous-sized here; the butterfly
+        # behind it bails.
+        assert {(5, 64.0), (13, 64.0)} <= bails
+    if kind == "alltoall":
+        # Every shift round but the last is eager at 1 KiB.
+        assert {(p, 1024.0) for p in (3, 4, 5, 8, 13, 16)} <= bails
 
 
 def test_reduce_bcast_composes_two_table_entries(monkeypatch):
