@@ -25,7 +25,7 @@ from repro.simmpi.delivery import (
 )
 from repro.simmpi.engine import Engine, SimResult, run_program
 from repro.simmpi.group import GroupComm
-from repro.simmpi.protocol import EagerProtocol, Protocol, RendezvousProtocol
+from repro.simmpi.protocol import RendezvousProtocol
 from repro.simmpi.requests import (
     ANY_SOURCE,
     ANY_TAG,
@@ -93,8 +93,6 @@ __all__ = [
     "AlphaBetaDelivery",
     "ContentionAwareDelivery",
     "resolve_delivery",
-    "Protocol",
-    "EagerProtocol",
     "RendezvousProtocol",
     "MachineState",
     "RankState",

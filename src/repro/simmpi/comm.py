@@ -253,7 +253,16 @@ class Comm:
         tag: int = 0,
         nbytes: Optional[float] = None,
     ) -> Generator:
-        """Eager buffered send; completes after the startup overhead."""
+        """Blocking send of ``payload`` to ``dest``.
+
+        Up to the engine's ``eager_threshold_bytes`` the send is
+        buffered: the payload is copied and the call returns after the
+        sender's startup overhead.  Above it the send uses rendezvous
+        and blocks until ``dest`` posts a matching receive, so two
+        ranks that both send first can deadlock, as under MPI.
+        ``nbytes`` overrides the measured wire size; it must be finite
+        and >= 0.
+        """
         if not 0 <= dest < self.size:
             raise CommunicationError(
                 f"send dest {dest} out of range for size {self.size}"

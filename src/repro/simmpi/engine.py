@@ -30,8 +30,10 @@ The engine itself is a thin event loop over three swappable layers:
 
 * :class:`~repro.simmpi.state.RankState` -- per-rank clocks, queues,
   and the unified request-handle table;
-* :class:`~repro.simmpi.protocol.Protocol` -- eager and rendezvous
-  matching strategies, selected per message by size;
+* the point-to-point protocols, selected per message by size: the
+  engine's send handler forwards eager messages itself, and
+  :class:`~repro.simmpi.protocol.RendezvousProtocol` holds larger ones
+  until the matching receive is posted;
 * :class:`~repro.simmpi.delivery.DeliveryModel` -- wire-time charging;
   ``"alphabeta"`` charges messages independently, ``"contention"``
   serialises transfers on shared-link occupancy along
@@ -61,6 +63,7 @@ from __future__ import annotations
 import gc
 import heapq
 import inspect
+import math
 from itertools import repeat
 from time import perf_counter
 
@@ -71,7 +74,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 from repro.machine.machine import Machine
 from repro.simmpi.comm import CommTable
 from repro.simmpi.delivery import AlphaBetaDelivery, DeliveryModel, resolve_delivery
-from repro.simmpi.protocol import EagerProtocol, Protocol, RendezvousProtocol
+from repro.simmpi.protocol import RendezvousProtocol
 from repro.simmpi.macro import evaluate as _macro_evaluate
 from repro.simmpi.macro import plan as _macro_plan
 from repro.simmpi.requests import (
@@ -99,9 +102,11 @@ from repro.simmpi.trace import (
     COMPUTE,
     IDLE,
     RECV_WAIT,
+    SEND,
     SEND_WAIT,
     MessageRecord,
     RankStats,
+    SpanCause,
     Tracer,
 )
 from repro.simmpi.waitgraph import WaitForGraph, build_wait_graph
@@ -296,7 +301,7 @@ class Engine:
         self.seed = seed
         self.trace = trace
         self.max_events = max_events
-        if eager_threshold_bytes < 0:
+        if not eager_threshold_bytes >= 0:  # nan fails too
             raise ConfigurationError(
                 f"eager threshold must be >= 0, got {eager_threshold_bytes}"
             )
@@ -310,7 +315,7 @@ class Engine:
                 raise ConfigurationError(
                     f"fail_at rank {rank} outside [0, {self.n_ranks})"
                 )
-            if when < 0:
+            if not when >= 0:  # nan fails too
                 raise ConfigurationError(
                     f"fail_at time must be >= 0, got {when} for rank {rank}"
                 )
@@ -333,8 +338,8 @@ class _Run:
     delivery models operate through."""
 
     __slots__ = (
-        "engine", "machine", "tracer", "delivery", "eager", "rendezvous",
-        "protocols", "ranks", "_n", "_eager_max", "_last_arrival",
+        "engine", "machine", "tracer", "delivery", "rendezvous",
+        "ranks", "_n", "_eager_max", "_last_arrival",
         "_last_hi", "_overhead", "_plans", "_plan_pairs", "seq", "_heap",
         "_active", "_fast",
         "comms", "_ab_hops", "_ab", "_tracing", "_flops_denom",
@@ -361,15 +366,11 @@ class _Run:
         # occupancy or memo state.
         self.delivery = engine.delivery.fresh()
         self.delivery.bind(self.machine, engine.rank_map)
-        # Exact-type check so the inlined send path only specialises the
-        # stock alpha-beta model; subclasses with overridden arrival()
-        # take the generic virtual call.
+        # Exact-type check so the closed forms only specialise the stock
+        # alpha-beta model; subclasses with overridden arrival() keep
+        # every run on the event path.
         self._ab = self.delivery if type(self.delivery) is AlphaBetaDelivery else None
-        self.eager: Protocol = EagerProtocol()
-        self.rendezvous: Protocol = RendezvousProtocol()
-        #: Receive-post matching order: eager queue first, then parked
-        #: rendezvous senders (the seed engine's semantics).
-        self.protocols = (self.eager, self.rendezvous)
+        self.rendezvous = RendezvousProtocol()
         # Columnar hot state: one MachineState holds every rank's
         # clock, lifecycle flags, and stats accumulators as parallel
         # numpy arrays; the RankState objects are thin views over it.
@@ -515,10 +516,15 @@ class _Run:
             self._ab_hops[key] = hops
         return start + self.machine.link.message_time(nbytes, hops)
 
-    # -- context interface used by protocols -------------------------------
+    # -- context interface used by the protocols ---------------------------
 
     def arrival(self, src_rank: int, dst_rank: int, nbytes: float, start: float) -> float:
-        """Delivery-model arrival with the per-pair FIFO clamp applied."""
+        """Delivery-model arrival with the per-pair FIFO clamp applied.
+
+        The one scalar writer of the clamp table: the eager send, the
+        rendezvous transfer and the closed forms' chain sends all price
+        a message through here (the closed forms' rounds write the table
+        in bulk)."""
         arrival = self.delivery.arrival(src_rank, dst_rank, nbytes, start)
         key = src_rank * self._n + dst_rank
         last = self._last_arrival
@@ -551,27 +557,6 @@ class _Run:
         else:
             heapq.heappush(self._heap, (time, self.seq, rank, value))
 
-    def post_message(self, msg: InFlight) -> None:
-        """Bind an in-flight message to the earliest matching posted
-        receive, or queue it."""
-        dst = self.ranks[msg.dest]
-        if dst is None:  # first touch of a not-yet-resumed receiver
-            dst = self.ranks[msg.dest] = RankState(msg.dest, self.ms)
-        if dst.rslots:
-            source = msg.source
-            tag = msg.tag
-            for slot in dst.rslots.values():
-                if slot.msg is None:
-                    s = slot.source
-                    if s == -1 or s == source:
-                        t = slot.tag
-                        if t == -1 or t == tag:
-                            slot.msg = msg
-                            if slot.waiting:
-                                self.complete_receive(dst, slot)
-                            return
-        dst.pending.append(msg)
-
     def complete_receive(self, state: RankState, slot: ReceiveSlot) -> None:
         """The blocked rank's slot got its message: deliver."""
         if state.anywait is not None:
@@ -581,21 +566,8 @@ class _Run:
         blocked_since = slot.blocked_since
         arrival = msg.arrival_time
         completion = arrival if arrival > blocked_since else blocked_since
-        # Inlined _deliver (one call per received message): account
-        # straight into the state columns, trace when enabled, drop the
-        # handle.
+        self._deliver(state, slot, msg.nbytes, completion)
         rank = state.rank
-        comm_t = self._comm_t
-        comm_t[rank] = comm_t[rank] + (completion - blocked_since)
-        recv_n = self._recv_n
-        recv_n[rank] = recv_n[rank] + 1
-        recv_b = self._recv_b
-        recv_b[rank] = recv_b[rank] + msg.nbytes
-        if self._tracing:
-            self._trace_delivery(state, slot, completion)
-        hid = slot.handle_id
-        state.rslots.pop(hid, None)
-        state.handles.pop(hid)
         self._clk[rank] = completion
         self._blk[rank] = False
         value = Message(msg.payload, msg.source, msg.tag, arrival)
@@ -612,45 +584,59 @@ class _Run:
         if state.anywait is not None:
             self._complete_anywait(state, handle.handle_id)
             return
-        completion = max(handle.blocked_since, handle.complete_at)
+        completion = self._finish_send_wait(state, handle)
         rank = state.rank
-        comm_t = self._comm_t
-        comm_t[rank] = comm_t[rank] + (completion - handle.blocked_since)
-        if self.tracer.enabled and completion > handle.blocked_since:
-            # The handshake cause is binding only when the remote event
-            # (not our own blocking point) determined the completion.
-            cause = handle.hs_cause if handle.complete_at > handle.blocked_since else None
-            self.tracer.span(
-                state.rank,
-                SEND_WAIT,
-                handle.blocked_since,
-                completion,
-                name=self.phase(state.rank),
-                peer=handle.dest,
-                tag=handle.tag,
-                nbytes=handle.nbytes,
-                cause=cause,
-            )
         self._clk[rank] = completion
         self._blk[rank] = False
-        state.pop_handle(handle.handle_id)
         self.schedule(completion, rank, None)
 
     # -- completion helpers -------------------------------------------------
 
-    def _deliver(self, state: RankState, slot: ReceiveSlot, completion: float) -> None:
-        """Account and trace one delivered message; drops the handle."""
-        msg = slot.msg
+    def _deliver(
+        self, state: RankState, slot: ReceiveSlot, nbytes: float, completion: float
+    ) -> None:
+        """Book one message delivered into ``slot``: the receiver's
+        blocked time and receive counters, its trace (tracing only),
+        and the slot's handle dropped."""
         rank = state.rank
         comm_t = self._comm_t
         comm_t[rank] = comm_t[rank] + (completion - slot.blocked_since)
         recv_n = self._recv_n
         recv_n[rank] = recv_n[rank] + 1
         recv_b = self._recv_b
-        recv_b[rank] = recv_b[rank] + msg.nbytes
-        if self.tracer.enabled:
+        recv_b[rank] = recv_b[rank] + nbytes
+        if self._tracing:
             self._trace_delivery(state, slot, completion)
-        state.pop_handle(slot.handle_id)
+        hid = slot.handle_id
+        state.rslots.pop(hid, None)
+        state.handles.pop(hid)
+
+    def _finish_send_wait(self, state: RankState, handle: SendHandle) -> float:
+        """Book a finished wait on an isend handle: the waiter's blocked
+        time, its send-wait span (tracing only), and the handle dropped.
+        Returns the completion time."""
+        blocked_since = handle.blocked_since
+        completion = max(blocked_since, handle.complete_at)
+        rank = state.rank
+        comm_t = self._comm_t
+        comm_t[rank] = comm_t[rank] + (completion - blocked_since)
+        if self._tracing and completion > blocked_since:
+            # The handshake cause is binding only when the remote event
+            # (not our own blocking point) determined the completion.
+            cause = handle.hs_cause if handle.complete_at > blocked_since else None
+            self.tracer.span(
+                rank,
+                SEND_WAIT,
+                blocked_since,
+                completion,
+                name=self.phase(rank),
+                peer=handle.dest,
+                tag=handle.tag,
+                nbytes=handle.nbytes,
+                cause=cause,
+            )
+        state.pop_handle(handle.handle_id)
+        return completion
 
     def _trace_delivery(self, state: RankState, slot: ReceiveSlot, completion: float) -> None:
         """Record the recv-wait span and message record (tracing only)."""
@@ -696,26 +682,10 @@ class _Run:
         if isinstance(handle, ReceiveSlot):
             msg = handle.msg
             completion = max(handle.blocked_since, msg.arrival_time)
-            self._deliver(state, handle, completion)
+            self._deliver(state, handle, msg.nbytes, completion)
             value = (index, Message(msg.payload, msg.source, msg.tag, msg.arrival_time))
         else:
-            completion = max(handle.blocked_since, handle.complete_at)
-            comm_t = self._comm_t
-            comm_t[rank] = comm_t[rank] + (completion - handle.blocked_since)
-            if self.tracer.enabled and completion > handle.blocked_since:
-                cause = handle.hs_cause if handle.complete_at > handle.blocked_since else None
-                self.tracer.span(
-                    state.rank,
-                    SEND_WAIT,
-                    handle.blocked_since,
-                    completion,
-                    name=self.phase(state.rank),
-                    peer=handle.dest,
-                    tag=handle.tag,
-                    nbytes=handle.nbytes,
-                    cause=cause,
-                )
-            state.pop_handle(handle_id)
+            completion = self._finish_send_wait(state, handle)
             value = (index, None)
         self._clk[rank] = completion
         self.schedule(completion, rank, value)
@@ -813,86 +783,18 @@ class _Run:
                 heapq.heappush(heap, (clk[m], seq, m, value))
         self.seq = seq
 
-    def _eager_send_fast(
-        self, state: RankState, request, nbytes: float, handle: Optional[SendHandle]
-    ) -> None:
-        """Untraced eager send with the arrival/overhead memos, FIFO
-        clamp and scheduling inlined: one call on the simulator's
-        hottest path instead of six.  Float-identical to
-        :meth:`EagerProtocol.send` with tracing off (same memo contents,
-        same expression groupings, same sequence-number draws)."""
-        src_rank = state.rank
-        clk = self._clk
-        now = clk[src_rank]
-        dest = request.dest
-        key = src_rank * self._n + dest
-        ab = self._ab
-        if ab is not None:
-            fixed = ab._fixed.get(key)
-            if fixed is None:
-                arrival = ab.arrival(src_rank, dest, nbytes, now)
-            else:
-                arrival = now + (fixed + nbytes / ab._bw)
-        else:
-            arrival = self.delivery.arrival(src_rank, dest, nbytes, now)
-        last = self._last_arrival
-        prev = last.get(key)
-        if prev is not None and prev > arrival:
-            arrival = prev
-        last[key] = arrival
-        if arrival > self._last_hi:
-            self._last_hi = arrival
-        memo = self._overhead
-        overhead = memo.get(key)
-        if overhead is None:
-            overhead = memo[key] = self.delivery.overhead(src_rank, dest)
-        clear = now + overhead
-        clk[src_rank] = clear
-        comm_t = self._comm_t
-        comm_t[src_rank] = comm_t[src_rank] + overhead
-        sent_n = self._sent_n
-        sent_n[src_rank] = sent_n[src_rank] + 1
-        sent_b = self._sent_b
-        sent_b[src_rank] = sent_b[src_rank] + nbytes
-        payload = request.payload
-        if type(payload) is np.ndarray:  # copy_payload's common case, inline
-            payload = payload.copy()
-        elif payload is not None:
-            payload = copy_payload(payload)
-        self.post_message(
-            InFlight(
-                dest,
-                src_rank,
-                request.tag,
-                payload,
-                nbytes,
-                arrival,
-                self.seq,
-                now,
-                None,
-            )
-        )
-        if handle is not None:
-            handle.complete_at = clear
-            value = handle.handle_id
-        else:
-            value = None
-        seq = self.seq + 1
-        self.seq = seq
-        if src_rank == self._active and self._fast is None:
-            self._fast = (clear, seq, src_rank, value)
-        else:
-            heapq.heappush(self._heap, (clear, seq, src_rank, value))
+    def _handle_send(self, state: RankState, request: Union[SendReq, IsendReq]) -> None:
+        """Blocking send and isend, the one point-to-point send path.
 
-    def _handle_send(self, state: RankState, request: SendReq) -> None:
-        """Blocking send.  The untraced eager case -- the hottest code
-        in the simulator -- is fully fused here: size measurement,
-        arrival/overhead memos, FIFO clamp, receiver matching and (when
-        the receiver is already blocked on a plain recv) the delivery
-        itself, without materialising an :class:`InFlight` at all.
-        Every step mirrors :meth:`EagerProtocol.send` +
-        :meth:`post_message` + :meth:`complete_receive` exactly, so
-        results are float- and event-order-identical."""
+        Both validate the destination and size; an isend then registers
+        its :class:`SendHandle`.  Above the eager threshold the
+        :class:`RendezvousProtocol` takes over.  An eager send -- the
+        hottest code in the simulator -- is fused here: clamped
+        arrival, injection overhead, receiver matching and, when the
+        receiver is already blocked on a plain recv and nothing is
+        traced, the delivery itself, without materialising an
+        :class:`InFlight` at all.  The sender resumes once the CPU has
+        injected the message; an eager isend's handle is complete then."""
         dest = request.dest
         if not 0 <= dest < self._n:
             self._check_dest(state, dest)
@@ -905,41 +807,29 @@ class _Run:
                 nbytes = 0
             else:
                 nbytes = payload_nbytes(payload)
-        elif nbytes < 0:
+        elif not 0 <= nbytes < math.inf:
             raise CommunicationError(
-                f"rank {state.rank} sent negative nbytes {nbytes}"
+                f"rank {state.rank} sent nbytes={nbytes}; a message size "
+                "must be finite and >= 0"
             )
+        tag = request.tag
+        if request.__class__ is IsendReq:
+            hid = state._next_handle
+            state._next_handle = hid + 1
+            handle = state.handles[hid] = SendHandle(
+                handle_id=hid, dest=dest, tag=tag, nbytes=nbytes
+            )
+        else:
+            handle = None
         if nbytes > self._eager_max:
-            self.rendezvous.send(self, state, request, nbytes)
-            return
-        if self._tracing:
-            self.eager.send(self, state, request, nbytes)
+            self.rendezvous.send(self, state, request, nbytes, handle)
             return
 
         src_rank = state.rank
         clk = self._clk
         now = clk[src_rank]
-        key = src_rank * self._n + dest
-        ab = self._ab
-        if ab is not None:
-            fixed = ab._fixed.get(key)
-            if fixed is None:
-                arrival = ab.arrival(src_rank, dest, nbytes, now)
-            else:
-                arrival = now + (fixed + nbytes / ab._bw)
-        else:
-            arrival = self.delivery.arrival(src_rank, dest, nbytes, now)
-        last = self._last_arrival
-        prev = last.get(key)
-        if prev is not None and prev > arrival:
-            arrival = prev
-        last[key] = arrival
-        if arrival > self._last_hi:
-            self._last_hi = arrival
-        memo = self._overhead
-        overhead = memo.get(key)
-        if overhead is None:
-            overhead = memo[key] = self.delivery.overhead(src_rank, dest)
+        arrival = self.arrival(src_rank, dest, nbytes, now)
+        overhead = self.overhead(src_rank, dest)
         clear = now + overhead
         clk[src_rank] = clear
         comm_t = self._comm_t
@@ -953,9 +843,25 @@ class _Run:
             payload = payload.copy()
         elif payload is not None:
             payload = copy_payload(payload)
-        tag = request.tag
+        tracing = self._tracing
+        wire = None
+        if tracing:
+            # The injection span is recorded even when zero-length: it
+            # is the jump target for the message's wire edge.
+            sid = self.tracer.span(
+                src_rank, SEND, now, clear, name=self.phase(src_rank),
+                peer=dest, tag=tag, nbytes=nbytes,
+            )
+            wire = SpanCause(
+                kind="msg",
+                src_rank=src_rank,
+                src_time=clear,
+                src_sid=sid,
+                wire_start=clear,
+                wire_min_end=self.alphabeta_arrival(src_rank, dest, nbytes, now),
+            )
 
-        # post_message, fused.
+        # Bind to the earliest matching posted receive, or queue.
         dst = self.ranks[dest]
         if dst is None:  # first touch of a not-yet-resumed receiver
             dst = self.ranks[dest] = RankState(dest, self.ms)
@@ -969,27 +875,14 @@ class _Run:
                         if t == -1 or t == tag:
                             matched = slot
                             break
-        if matched is None:
-            dst.pending.append(
-                InFlight(
-                    dest, src_rank, tag, payload, nbytes, arrival,
-                    self.seq, now, None,
-                )
-            )
-        elif matched.waiting and dst.anywait is None:
+        if matched is not None and matched.waiting and dst.anywait is None \
+                and not tracing:
             # complete_receive, fused: the receiver is parked on a
             # plain recv/wait, so the message never needs an InFlight
             # shell -- deliver straight out of locals.
             blocked_since = matched.blocked_since
             completion = arrival if arrival > blocked_since else blocked_since
-            comm_t[dest] = comm_t[dest] + (completion - blocked_since)
-            recv_n = self._recv_n
-            recv_n[dest] = recv_n[dest] + 1
-            recv_b = self._recv_b
-            recv_b[dest] = recv_b[dest] + nbytes
-            hid = matched.handle_id
-            dst.rslots.pop(hid, None)
-            dst.handles.pop(hid)
+            self._deliver(dst, matched, nbytes, completion)
             clk[dest] = completion
             self._blk[dest] = False
             seq = self.seq + 1
@@ -1001,43 +894,29 @@ class _Run:
                 (completion, seq, dest, Message(payload, src_rank, tag, arrival)),
             )
         else:
-            # irecv slot, or a waitany group: those paths want the full
-            # message object (and anywait completion logic).
-            matched.msg = InFlight(
-                dest, src_rank, tag, payload, nbytes, arrival,
-                self.seq, now, None,
+            msg = InFlight(
+                dest, src_rank, tag, payload, nbytes, arrival, self.seq, now, wire
             )
-            if matched.waiting:
-                self.complete_receive(dst, matched)
+            if matched is None:
+                dst.pending.append(msg)
+            else:
+                # An irecv slot, a waitany group, or a traced delivery:
+                # those want the full message object.
+                matched.msg = msg
+                if matched.waiting:
+                    self.complete_receive(dst, matched)
 
+        if handle is None:
+            value = None
+        else:
+            handle.complete_at = clear
+            value = hid
         seq = self.seq + 1
         self.seq = seq
         if src_rank == self._active and self._fast is None:
-            self._fast = (clear, seq, src_rank, None)
+            self._fast = (clear, seq, src_rank, value)
         else:
-            heapq.heappush(self._heap, (clear, seq, src_rank, None))
-
-    def _handle_isend(self, state: RankState, request: IsendReq) -> None:
-        dest = request.dest
-        if not 0 <= dest < self._n:
-            self._check_dest(state, dest)
-        nbytes = request.nbytes
-        if nbytes is None:
-            nbytes = payload_nbytes(request.payload)
-        elif nbytes < 0:
-            raise CommunicationError(
-                f"rank {state.rank} sent negative nbytes {nbytes}"
-            )
-        hid = state._next_handle
-        state._next_handle = hid + 1
-        handle = SendHandle(handle_id=hid, dest=dest, tag=request.tag, nbytes=nbytes)
-        state.handles[hid] = handle
-        if nbytes > self._eager_max:
-            self.rendezvous.send(self, state, request, nbytes, handle)
-        elif self._tracing:
-            self.eager.send(self, state, request, nbytes, handle)
-        else:
-            self._eager_send_fast(state, request, nbytes, handle)
+            heapq.heappush(self._heap, (clear, seq, src_rank, value))
 
     def _handle_recv(self, state: RankState, request) -> None:
         source = request.source
@@ -1052,10 +931,14 @@ class _Run:
         hid = state._next_handle
         state._next_handle = hid + 1
         slot = ReceiveSlot(hid, source, request.tag)
-        if state.pending or state.parked:
-            for protocol in self.protocols:
-                if protocol.match_posted_receive(self, state, slot):
+        pending = state.pending
+        if pending or state.parked:
+            for i, msg in enumerate(pending):
+                if slot.matches(msg):
+                    slot.msg = pending.pop(i)
                     break
+            else:
+                self.rendezvous.match_posted_receive(self, state, slot)
         state.handles[hid] = slot
         state.rslots[hid] = slot
         if request.__class__ is IrecvReq:
@@ -1226,7 +1109,7 @@ class _Run:
         handlers: Dict[type, Callable] = {
             ComputeReq: self._handle_compute,
             SendReq: self._handle_send,
-            IsendReq: self._handle_isend,
+            IsendReq: self._handle_send,
             RecvReq: self._handle_recv,
             IrecvReq: self._handle_recv,
             WaitReq: self._handle_wait,

@@ -157,6 +157,9 @@ class GroupComm:
     def send(
         self, payload: Any, dest: int, tag: int = 0, nbytes: Optional[float] = None
     ) -> Generator:
+        """:meth:`Comm.send` to group rank ``dest``: eager up to the
+        engine's threshold, rendezvous (blocking until the receiver
+        posts) above it."""
         if not 0 <= dest < self.size:
             raise CommunicationError(f"group send dest {dest} out of range")
         # Fill the parent's scratch request directly rather than

@@ -14,11 +14,14 @@ O(log P)..O(P).
 Bit-exactness contract
 ----------------------
 
-Every helper below mirrors the engine's fused eager-send handler and
-the protocols' rendezvous arithmetic *expression for expression*:
+Every helper below mirrors the engine's one send handler
+(``_Run._handle_send``, which serves send and isend) and the rendezvous
+protocol's arithmetic *expression for expression*:
 
-* eager send:   ``arrival = ab.arrival(src, dst, nbytes, now)`` then the
-  per-pair FIFO clamp; ``clear = now + overhead``.
+* eager send:   ``arrival = run.arrival(src, dst, nbytes, now)`` -- the
+  alpha-beta arrival with the per-pair FIFO clamp, the engine's one
+  scalar clamp; the chains call it, the round primitives repeat it
+  inline per pair or vectorised; ``clear = now + overhead``.
 * rendezvous:   ``handshake = max(recv_post, park)``; arrival computed
   at the handshake; ``comm_time += (handshake - park) + overhead``.
 * blocking recv: ``completion = max(arrival, blocked_since)``.
@@ -396,20 +399,7 @@ class _Sched:
             post = clk[dst]
             if post > now:
                 start = post  # handshake
-        key = src * run._n + dst
-        ab = run._ab
-        fixed = ab._fixed.get(key)
-        if fixed is None:
-            arrival = ab.arrival(src, dst, nbytes, start)
-        else:
-            arrival = start + (fixed + nbytes / ab._bw)
-        last = run._last_arrival
-        prev = last.get(key)
-        if prev is not None and prev > arrival:
-            arrival = prev
-        last[key] = arrival
-        if arrival > run._last_hi:
-            run._last_hi = arrival
+        arrival = run.arrival(src, dst, nbytes, start)
         oh = run.overhead(src, dst)
         clk[src] = start + oh
         # (start - now) is exactly 0.0 for an eager send, so one

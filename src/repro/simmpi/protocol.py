@@ -1,140 +1,41 @@
-"""Message protocols: how a send reaches a matching receive.
+"""The rendezvous protocol: sends above the eager threshold.
 
-The engine selects a protocol **per message** by size -- up to the
-eager threshold the :class:`EagerProtocol` buffers and forwards
-immediately; above it the :class:`RendezvousProtocol` holds the sender
-(or, for ``isend``, just the transfer) until the receiver posts a
-matching slot.  Both implement the same two-method interface:
+The engine chooses the protocol **per message** by size.  Up to the
+eager threshold a send is buffered and forwarded at once; that path is
+the engine's own send handler (``_Run._handle_send``), which also
+serves ``isend``.  Above it :class:`RendezvousProtocol` holds the
+sender (or, for ``isend``, just the transfer) until the receiver posts
+a matching slot:
 
-* :meth:`Protocol.send` -- interpret one send/isend request from a
-  running rank;
-* :meth:`Protocol.match_posted_receive` -- a receive was just posted;
-  bind a waiting message or parked sender to it if one matches.
+* :meth:`RendezvousProtocol.send` -- park (or hand over) one send;
+* :meth:`RendezvousProtocol.match_posted_receive` -- a receive was just
+  posted and the queued eager messages did not match it: bind a parked
+  sender to it if one matches.
 
-When a receive is posted the engine consults the protocols in a fixed
-order (eager queue first, then parked rendezvous senders), preserving
-the seed engine's matching semantics exactly.
-
-Protocols talk to the run through the small context interface the
-engine passes in (``arrival``/``overhead`` delegate to the active
-:class:`~repro.simmpi.delivery.DeliveryModel`, plus ``schedule`` and
-the completion callbacks), so protocol logic is independent of both the
-cost model and the event loop.
+The protocol talks to the run through the small context interface the
+engine passes in (``arrival`` -- the delivery model's answer with the
+per-pair FIFO clamp applied -- ``overhead``, ``schedule`` and the
+completion callbacks), so it is independent of both the cost model and
+the event loop.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Optional, Union
-
-from repro.simmpi.requests import ANY_SOURCE, ANY_TAG, InFlight, IsendReq, SendReq, copy_payload
-from repro.simmpi.state import ParkedSend, RankState, ReceiveSlot, SendHandle
+from repro.simmpi.requests import ANY_SOURCE, ANY_TAG, InFlight, copy_payload
+from repro.simmpi.state import ParkedSend, ReceiveSlot
 from repro.simmpi.trace import RNDV_WAIT, SEND, SpanCause
 
 
-class Protocol(ABC):
-    """Strategy for delivering one message class (eager vs rendezvous)."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def send(
-        self,
-        ctx,
-        src: RankState,
-        request: Union[SendReq, IsendReq],
-        nbytes: float,
-        handle: Optional[SendHandle] = None,
-    ) -> None:
-        """Interpret a send issued at ``src.clock``.
-
-        ``handle`` is None for a blocking :class:`SendReq`; for
-        :class:`IsendReq` it is the already-registered
-        :class:`SendHandle` the sender will wait on.
-        """
-
-    @abstractmethod
-    def match_posted_receive(self, ctx, dst: RankState, slot: ReceiveSlot) -> bool:
-        """A receive was posted at ``dst``: bind a queued message or
-        parked sender to ``slot``.  Returns True when bound."""
-
-
-class EagerProtocol(Protocol):
-    """Buffered sends: copy, charge the startup overhead, deliver after
-    the routed delay.  The sender never blocks."""
-
-    name = "eager"
-
-    def send(self, ctx, src, request, nbytes, handle=None):
-        now = src.clock
-        dst = request.dest
-        src_rank = src.rank
-        arrival = ctx.arrival(src_rank, dst, nbytes, now)
-        overhead = ctx.overhead(src_rank, dst)
-        clear = now + overhead
-        src.clock = clear
-        stats = src.stats
-        stats.comm_time += overhead
-        stats.messages_sent += 1
-        stats.bytes_sent += nbytes
-        wire = None
-        if ctx.tracer.enabled:
-            # The injection span is recorded even when zero-length: it
-            # is the jump target for the message's wire edge.
-            sid = ctx.tracer.span(
-                src_rank,
-                SEND,
-                now,
-                clear,
-                name=ctx.phase(src_rank),
-                peer=dst,
-                tag=request.tag,
-                nbytes=nbytes,
-            )
-            wire = SpanCause(
-                kind="msg",
-                src_rank=src_rank,
-                src_time=clear,
-                src_sid=sid,
-                wire_start=clear,
-                wire_min_end=ctx.alphabeta_arrival(src_rank, dst, nbytes, now),
-            )
-        ctx.post_message(
-            InFlight(
-                dst,
-                src_rank,
-                request.tag,
-                copy_payload(request.payload),
-                nbytes,
-                arrival,
-                ctx.seq,
-                now,
-                wire,
-            )
-        )
-        if handle is not None:
-            # The CPU injected the message; the handle is already done.
-            handle.complete_at = clear
-            ctx.schedule(clear, src_rank, handle.handle_id)
-        else:
-            ctx.schedule(clear, src_rank, None)
-
-    def match_posted_receive(self, ctx, dst, slot):
-        for i, msg in enumerate(dst.pending):
-            if slot.matches(msg):
-                slot.msg = dst.pending.pop(i)
-                return True
-        return False
-
-
-class RendezvousProtocol(Protocol):
+class RendezvousProtocol:
     """Handshaking sends: the transfer starts only once a matching
     receive exists.  A blocking send parks its rank; an isend parks only
     the transfer and completes its handle at handshake time."""
 
-    name = "rendezvous"
-
     def send(self, ctx, src, request, nbytes, handle=None):
+        """Interpret a send issued at ``src.clock``.  ``handle`` is None
+        for a blocking :class:`~repro.simmpi.requests.SendReq`; for an
+        isend it is the already-registered
+        :class:`~repro.simmpi.state.SendHandle` the sender will wait on."""
         now = src.clock
         # rank_state materializes a not-yet-resumed receiver (lazy
         # bring-up): its parked queue must exist to hold this sender.
@@ -164,13 +65,13 @@ class RendezvousProtocol(Protocol):
         # A blocking sender stays parked: no event until the handshake.
 
     def match_posted_receive(self, ctx, dst, slot):
+        """Bind the first parked sender that ``slot`` accepts, if any."""
         for i, ps in enumerate(dst.parked):
             if self._slot_accepts(slot, ps):
                 dst.parked.pop(i)
                 handshake = max(dst.clock, ps.park_time)
                 slot.msg = self.start_transfer(ctx, ps, handshake)
-                return True
-        return False
+                return
 
     @staticmethod
     def _slot_accepts(slot: ReceiveSlot, ps: ParkedSend) -> bool:

@@ -28,6 +28,7 @@ again.
 from __future__ import annotations
 
 import copy
+import math
 from typing import Any, Optional
 
 import numpy as np
@@ -298,8 +299,10 @@ def validate_compute(flops: Optional[float], seconds: Optional[float]) -> None:
             "ComputeReq needs exactly one of flops= or seconds="
         )
     value = flops if flops is not None else seconds
-    if value < 0:
-        raise CommunicationError(f"compute amount must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise CommunicationError(
+            f"compute amount must be finite and >= 0, got {value}"
+        )
 
 
 class Message:

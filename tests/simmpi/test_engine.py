@@ -1,5 +1,8 @@
 """Engine semantics: point-to-point messaging, timing, deadlock."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,9 @@ from repro.machine import (
     NodeSpec,
 )
 from repro.simmpi import ANY_SOURCE, Engine, run_program
+from repro.simmpi import engine as engine_mod
+from repro.simmpi import macro as macro_mod
+from repro.simmpi import protocol as protocol_mod
 from repro.util.errors import (
     CommunicationError,
     ConfigurationError,
@@ -335,6 +341,33 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             Engine(toy_machine(2), 3)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("op", ["send", "isend"])
+    def test_non_finite_message_size_rejected(self, op, bad):
+        # Unchecked, a nan size would book nan bytes and arrive at once
+        # (nan compares false against every clock); inf never arrives.
+        def program(comm):
+            if comm.rank == 0:
+                if op == "send":
+                    yield from comm.send(None, dest=1, nbytes=bad)
+                else:
+                    handle = yield from comm.isend(None, dest=1, nbytes=bad)
+                    yield from comm.wait(handle)
+            else:
+                yield from comm.recv(source=0)
+
+        with pytest.raises(CommunicationError, match="finite"):
+            run_program(toy_machine(2), 2, program)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("arg", ["flops", "seconds"])
+    def test_non_finite_compute_rejected(self, arg, bad):
+        def program(comm):
+            yield from comm.compute(**{arg: bad})
+
+        with pytest.raises(CommunicationError, match="finite"):
+            run_program(toy_machine(2), 2, program)
+
     def test_bad_rank_map_duplicate(self):
         with pytest.raises(ConfigurationError):
             Engine(toy_machine(4), 2, rank_map=[1, 1])
@@ -380,3 +413,67 @@ class TestDeterminism:
 
         result = run_program(toy_machine(4), 4, program, seed=1)
         assert len(set(result.returns)) == 4
+
+
+def _functions_touching(module, attr):
+    """``Class.method`` (or ``function``) names in ``module``'s source
+    whose body reads or writes the attribute ``attr``."""
+    found = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
+            defs = [(node.name, node)]
+        else:
+            continue
+        for name, fn in defs:
+            if any(isinstance(n, ast.Attribute) and n.attr == attr
+                   for n in ast.walk(fn)):
+                found.add(name)
+    return found
+
+
+class TestOnePointToPointPath:
+    """The point-to-point layer exists once: one send handler, one
+    rendezvous protocol, one scalar FIFO clamp."""
+
+    def test_send_and_isend_share_one_handler(self, monkeypatch):
+        seen = []
+        handle = engine_mod._Run._handle_send
+
+        def spy(self, state, request):
+            seen.append(type(request).__name__)
+            handle(self, state, request)
+
+        monkeypatch.setattr(engine_mod._Run, "_handle_send", spy)
+
+        def program(comm):
+            if comm.rank == 0:
+                yield from comm.send(1.0, dest=1)
+                request = yield from comm.isend(2.0, dest=1)
+                yield from comm.wait(request)
+            else:
+                yield from comm.recv(source=0)
+                yield from comm.recv(source=0)
+
+        run_program(toy_machine(2), 2, program)
+        assert seen == ["SendReq", "IsendReq"]
+
+    def test_protocol_module_holds_only_rendezvous(self):
+        classes = [
+            name for name, obj in vars(protocol_mod).items()
+            if inspect.isclass(obj) and obj.__module__ == protocol_mod.__name__
+        ]
+        assert classes == ["RendezvousProtocol"]
+
+    def test_fifo_table_has_one_scalar_writer(self):
+        # _Run.arrival is the scalar clamp every message goes through;
+        # __init__ creates the table, _fail_rank drops a dead sender's
+        # rows, and the closed forms' round primitives write it in bulk.
+        touched = (_functions_touching(engine_mod, "_last_arrival")
+                   | _functions_touching(macro_mod, "_last_arrival"))
+        assert touched == {
+            "_Run.__init__", "_Run.arrival", "_Run._fail_rank",
+            "_Sched.send_round", "_Sched.round_trip",
+        }

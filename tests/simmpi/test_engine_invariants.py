@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import FullyConnected, LinkModel, Machine, Mesh2D, NodeSpec
-from repro.simmpi import run_program
+from repro.simmpi import ANY_SOURCE, ANY_TAG, Engine, run_program
+from repro.util.errors import SimulationError
 
 
 def toy_machine(n, topology=None):
@@ -144,3 +145,123 @@ def test_property_latency_monotone(p, latency, seed):
     base = run_program(machine(latency), p, random_traffic_program(plan))
     slower = run_program(machine(2 * latency), p, random_traffic_program(plan))
     assert slower.time >= base.time - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# traced == untraced over mixed blocking/non-blocking traffic
+# ---------------------------------------------------------------------------
+
+def build_mixed_plan(rng, p):
+    """Random sends, isends and computes on nonzero tags, plus drains
+    that receive every inbound message.
+
+    ``plan[rank]`` is ``(actions, drains)``.  An action is
+    ``("compute", seconds)``, ``("send", dest, tag, nbytes)`` or
+    ``("isend", dest, tag, nbytes, late)``; a late isend is waited on
+    after the drains, the others before them.  Message sizes straddle
+    1000 bytes, so a 1000-byte eager threshold splits them.  A drain is
+    ``(mode, receives)`` with mode ``"recv"`` (blocking receives) or
+    ``"waitany"`` (irecvs posted together, completed by waitany); its
+    receives are ``(source, tag)``, exact or ``ANY_SOURCE, ANY_TAG``.
+    Every exact receive is posted before any wildcard one, so an exact
+    receive always finds its message; only rendezvous ordering can
+    deadlock, and then both runs must deadlock alike.
+    """
+    inbound = [[] for _ in range(p)]
+    plan = []
+    for rank in range(p):
+        actions = []
+        for _ in range(rng.integers(0, 6)):
+            roll = rng.random()
+            if roll < 0.3:
+                actions.append(("compute", float(rng.random()) * 1e-3))
+                continue
+            dest = int(rng.integers(0, p))
+            if dest == rank:
+                continue
+            tag = int(rng.integers(0, 4))
+            nbytes = float(rng.choice([0, rng.integers(1, 1000), rng.integers(1000, 10_000)]))
+            if roll < 0.6:
+                actions.append(("send", dest, tag, nbytes))
+            else:
+                actions.append(("isend", dest, tag, nbytes, bool(rng.random() < 0.5)))
+            inbound[dest].append((rank, tag))
+        plan.append(actions)
+    out = []
+    for rank in range(p):
+        exact, wild = [], []
+        for source, tag in inbound[rank]:
+            if rng.random() < 0.5:
+                exact.append((source, tag))
+            else:
+                wild.append((ANY_SOURCE, ANY_TAG))
+        drains = [
+            ("waitany" if rng.random() < 0.5 else "recv", part)
+            for part in (exact, wild)
+            if part
+        ]
+        out.append((plan[rank], drains))
+    return out
+
+
+def mixed_traffic_program(plan):
+    def program(comm):
+        actions, drains = plan[comm.rank]
+        early, late = [], []
+        for action in actions:
+            if action[0] == "compute":
+                yield from comm.compute(seconds=action[1])
+            elif action[0] == "send":
+                _, dest, tag, nbytes = action
+                yield from comm.send(None, dest, tag=tag, nbytes=nbytes)
+            else:
+                _, dest, tag, nbytes, is_late = action
+                handle = yield from comm.isend(None, dest, tag=tag, nbytes=nbytes)
+                (late if is_late else early).append(handle)
+        for handle in early:
+            yield from comm.wait(handle)
+        got = []
+        for mode, receives in drains:
+            if mode == "recv":
+                for source, tag in receives:
+                    msg = yield from comm.recv(source, tag)
+                    got.append((msg.source, msg.tag, msg.arrival_time))
+            else:
+                handles = []
+                for source, tag in receives:
+                    handle = yield from comm.irecv(source, tag)
+                    handles.append(handle)
+                while handles:
+                    index, msg = yield from comm.waitany(handles)
+                    handles.pop(index)
+                    got.append((msg.source, msg.tag, msg.arrival_time))
+        for handle in late:
+            yield from comm.wait(handle)
+        return got
+
+    return program
+
+
+def _outcome(machine, p, program, **kwargs):
+    try:
+        res = Engine(machine, p, **kwargs).run(program)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+    return res.time, list(res.stats), res.returns, res.events
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.integers(2, 6), seed=st.integers(0, 10_000))
+def test_property_tracing_changes_no_number(p, seed):
+    """A traced run gives the untraced run's makespan, per-rank stats,
+    returns and event count (or the same exception), for each eager
+    threshold and delivery model: tracing only records."""
+    rng = np.random.default_rng(seed)
+    program = mixed_traffic_program(build_mixed_plan(rng, p))
+    machine = toy_machine(p, Mesh2D(1, p))
+    for eager in (0, 1000, float("inf")):
+        for delivery in ("alphabeta", "contention"):
+            kwargs = dict(eager_threshold_bytes=eager, delivery=delivery)
+            plain = _outcome(machine, p, program, **kwargs)
+            traced = _outcome(machine, p, program, trace=True, **kwargs)
+            assert traced == plain, (eager, delivery)

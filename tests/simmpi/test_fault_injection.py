@@ -113,6 +113,12 @@ class TestFailureSemantics:
         with pytest.raises(ConfigurationError):
             Engine(toy_machine(2), 2, fail_at={0: -1.0})
 
+    def test_nan_failure_time_rejected(self):
+        # A nan time compares false against everything: unchecked, it
+        # would reach the event heap, which cannot order it.
+        with pytest.raises(ConfigurationError):
+            Engine(toy_machine(2), 2, fail_at={0: float("nan")})
+
 
 class TestCheckpointRestart:
     """The application-level answer to node failures, demonstrated on

@@ -165,6 +165,12 @@ class TestRendezvousSemantics:
         with pytest.raises(ConfigurationError):
             Engine(toy_machine(2), 2, eager_threshold_bytes=-1.0)
 
+    def test_nan_threshold_rejected(self):
+        # A nan threshold compares false against every size: unchecked,
+        # it would silently make every message eager.
+        with pytest.raises(ConfigurationError):
+            Engine(toy_machine(2), 2, eager_threshold_bytes=float("nan"))
+
 
 class TestProtocolCostDifference:
     def test_rendezvous_adds_handshake_delay_for_late_receiver(self):
