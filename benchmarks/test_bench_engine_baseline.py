@@ -28,6 +28,7 @@ not a performance regression.
 
 import ast
 import os
+import statistics
 import time
 
 from repro.analyze import analyze_paths
@@ -276,30 +277,39 @@ def test_bench_halo_16384_macro(bench_record):
     """The stencil macro-op payoff: a 16384-rank halo epoch, closed-form
     vs event path.
 
-    The event path runs once (it is the slow side being displaced); the
-    macro path is timed best-of-N.  Results must be bit-identical, and
-    the wall-time speedup is the number this PR exists for.
+    The two paths run interleaved, ``BEST_OF`` runs each, and the
+    speedup is the ratio of their medians: a burst of host load then
+    moves one sample of one side, not the whole ratio (one event-path
+    run against a best-of-3 macro run failed the 5x floor on host load
+    alone).  Results must be bit-identical on every run.  ``wall_s``
+    stays the macro path's best run, comparable with the committed
+    history.
     """
     machine = intel_paragon(128, 128)
-    ref, ref_wall = _best_of(
-        lambda: run_program(machine, 16384, _halo_epoch, macro_ops=False),
-        repeats=1,
-    )
-    res, wall = _best_of(lambda: run_program(machine, 16384, _halo_epoch))
-    # Bit-identity guard: the macro path must be invisible in results.
-    assert res.time == ref.time
-    assert res.stats == ref.stats
-    assert res.returns == ref.returns
-    assert res.events < ref.events
-    # Simulated outcomes are machine-independent pins.
-    assert ref.events == 1312000
-    assert abs(ref.time - 0.0123578996006144) < 1e-9
-    speedup = ref_wall / wall
+    ref_walls, walls = [], []
+    for _ in range(BEST_OF):
+        ref, ref_wall = _best_of(
+            lambda: run_program(machine, 16384, _halo_epoch, macro_ops=False),
+            repeats=1,
+        )
+        res, wall = _best_of(lambda: run_program(machine, 16384, _halo_epoch), repeats=1)
+        ref_walls.append(ref_wall)
+        walls.append(wall)
+        # Bit-identity guard: the macro path must be invisible in results.
+        assert res.time == ref.time
+        assert res.stats == ref.stats
+        assert res.returns == ref.returns
+        assert res.events < ref.events
+        # Simulated outcomes are machine-independent pins.
+        assert ref.events == 1312000
+        assert abs(ref.time - 0.0123578996006144) < 1e-9
+    ref_wall = statistics.median(ref_walls)
+    speedup = ref_wall / statistics.median(walls)
     assert speedup >= 5.0, f"stencil macro speedup {speedup:.1f}x < 5x"
     bench_record(
         "halo_16384",
         events=ref.events,
-        wall_s=wall,
+        wall_s=min(walls),
         ranks=16384,
         virtual_time_s=round(res.time, 9),
         macro_events=res.events,

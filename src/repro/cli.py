@@ -214,7 +214,7 @@ def _cmd_sweep(args) -> str:
         raise ReproError("sweep point diverged from the serial factorisation")
     cache_info = {"enabled": cache is not None}
     if cache is not None:
-        cache_info.update(cache.stats())
+        cache_info.update(hits=cache.hits, misses=cache.misses)
         table += (
             f"\n\ncache {args.cache_dir}: "
             f"{cache.hits} hit(s), {cache.misses} miss(es)"

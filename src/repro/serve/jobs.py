@@ -7,8 +7,9 @@ derived_seed)`` -- the same key the on-disk
 point exactly once:
 
 ``cache_hit``
-    The key is already on disk: the stored result is attached
-    immediately, no simulation, O(1).
+    The key is already in the cache: the stored result is attached
+    immediately, no simulation (a repeated hit is answered from the
+    cache's memory tier without opening a file).
 ``coalesced``
     An identical point is *in flight* for another job (or earlier in
     this one): the point attaches to the existing future -- one
@@ -16,7 +17,7 @@ point exactly once:
 ``scheduled``
     Genuinely new work: a future is registered in the in-flight map and
     the point is dispatched to the backend; the result lands in the
-    cache before waiters are woken, so later duplicates hit disk.
+    cache before waiters are woken, so later duplicates are cache hits.
 
 All bookkeeping runs on the event loop (single-threaded); only the
 simulation itself leaves it through the backend.  Progress is an
@@ -224,7 +225,7 @@ class JobManager:
 
         The whole batch's cache keys are computed up front
         (:func:`~repro.sweep.cache.batch_cache_keys`, one amortised
-        pass per job) and the disk cache is probed **once per distinct
+        pass per job) and the cache is probed **once per distinct
         key** across the batch, before any job is admitted to the
         table.  Classification then runs against the probe map and the
         in-flight map, so a point scheduled by an earlier job in the

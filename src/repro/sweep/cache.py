@@ -22,6 +22,21 @@ Records are one JSON file per key under ``<root>/<key[:2]>/<key>.json``
 temp-file rename so a crashed run never leaves a truncated record.
 Corrupt or unreadable entries are treated as misses and rewritten.
 
+In front of the files sits a memory tier: the text of records a disk
+read has verified (schema and key), bounded in bytes
+(:data:`MEMORY_TIER_BYTES`) with least-recently-used eviction.  A
+repeated ``get`` answers from it without opening a file, decoding a
+fresh object each time exactly as a disk hit does.  ``put`` drops the
+key's entry (the next ``get`` re-reads what was written) and ``prune``
+empties the tier.  Records are deterministic per key, so an entry can
+only go stale by a prune in another process, which costs nothing worse
+than serving a result that process deleted.
+
+Key derivation in the serving path is memoised as well: the canonical
+token of a config is kept (bounded, :data:`TOKEN_MEMO_BYTES`) under a
+*type-exact* key, because ``1``, ``1.0`` and ``True`` -- and ``0.0``
+and ``-0.0`` -- compare and hash equal yet tokenise differently.
+
 The cache deliberately does **not** hash the code version: the schema
 version plus the deterministic engine (bit-identical results are an
 invariant the test suite enforces across refactors) make results
@@ -37,7 +52,9 @@ import json
 import os
 import re
 import tempfile
+import threading
 import time
+from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError
@@ -45,6 +62,71 @@ from repro.util.errors import ConfigurationError
 #: Bump to invalidate every existing cache entry (key recipe or record
 #: layout changes).
 SCHEMA_VERSION = 1
+
+#: Bound on :class:`RunCache`'s memory tier: record text plus
+#: :data:`ENTRY_OVERHEAD_BYTES` per entry.
+MEMORY_TIER_BYTES = 4 << 20
+
+#: Bound on the config-token memo behind :func:`batch_cache_keys`.
+TOKEN_MEMO_BYTES = 1 << 20
+
+#: What one memo entry costs beyond its payload (key string or tuple,
+#: the ordered-dict node, the payload's object header), charged against
+#: each memo's byte bound so many small entries cannot outgrow it.
+ENTRY_OVERHEAD_BYTES = 256
+
+
+class BoundedLRU:
+    """A thread-safe map bounded by the summed ``size`` of its values.
+
+    ``size(value)`` is charged on insertion; inserting past ``limit``
+    evicts least-recently-used entries (``get`` refreshes recency) and
+    a value larger than ``limit`` on its own is not kept at all.
+    Values must not be ``None``, which ``get`` returns for a miss.
+    """
+
+    def __init__(self, limit: int, size: Callable[[Any], int]):
+        self.limit = limit
+        self._size = size
+        self._data: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+        #: Summed ``size`` of the entries held.
+        self.bytes = 0
+
+    def get(self, key: Any) -> Any:
+        """The value under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+            return value
+
+    def put(self, key: Any, value: Any) -> None:
+        size = self._size(value)
+        with self._lock:
+            self._discard(key)
+            if size > self.limit:
+                return
+            self._data[key] = value
+            self.bytes += size
+            while self.bytes > self.limit:
+                _, evicted = self._data.popitem(last=False)
+                self.bytes -= self._size(evicted)
+
+    def pop(self, key: Any) -> None:
+        with self._lock:
+            self._discard(key)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._data.clear()
+            self.bytes = 0
+
+    def _discard(self, key: Any) -> None:
+        old = self._data.pop(key, None)
+        if old is not None:
+            self.bytes -= self._size(old)
+
 
 
 def _config_token(obj: Any) -> Any:
@@ -73,6 +155,52 @@ def _config_token(obj: Any) -> Any:
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     return f"repr:{obj!r}"
+
+
+#: Types whose ``repr`` identifies a value exactly within its type.
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+
+
+def _exact_key(obj: Any) -> Any:
+    """A hashable key equal only for configs whose tokens are equal.
+
+    Value equality is too coarse for the token memo: ``1 == 1.0 ==
+    True`` and ``0.0 == -0.0`` hash alike but tokenise differently.  So
+    every scalar is paired with its exact type and its ``repr``,
+    sequences with their own type, dataclasses with their class and
+    their fields' keys.  Any other value raises ``TypeError``; a config
+    holding one is tokenised afresh on every call.
+    """
+    cls = type(obj)
+    if cls in _SCALARS:
+        return (cls, repr(obj))
+    if cls is tuple or cls is list:
+        return (cls, tuple([_exact_key(v) for v in obj]))
+    if not dataclasses.is_dataclass(cls):
+        raise TypeError(f"no exact memo key for {cls.__qualname__}")
+    fields = dataclasses.fields(cls)
+    return (cls, tuple([_exact_key(getattr(obj, f.name)) for f in fields]))
+
+
+#: Canonical config tokens by :func:`_exact_key`, shared across calls.
+#: An entry is charged twice its token: the key holds the values again.
+_TOKEN_MEMO = BoundedLRU(
+    TOKEN_MEMO_BYTES, lambda token: 2 * len(token) + ENTRY_OVERHEAD_BYTES
+)
+
+
+def _token_text(config: Any) -> str:
+    """``config``'s canonical token serialised, memoised type-exactly."""
+    try:
+        key = _exact_key(config)
+    except TypeError:
+        key = None
+    token = None if key is None else _TOKEN_MEMO.get(key)
+    if token is None:
+        token = json.dumps(_config_token(config), sort_keys=True, separators=(",", ":"))
+        if key is not None:
+            _TOKEN_MEMO.put(key, token)
+    return token
 
 
 def describe_config(config: Any, limit: int = 160) -> str:
@@ -137,9 +265,9 @@ def batch_cache_keys(
     Bit-identical to ``[cache_key(workload, c, s) for c, s in zip(...)]``
     (asserted in tests) but amortised for the serving hot path: the
     workload identity and the fixed parts of the canonical payload are
-    rendered once per batch, each distinct config is tokenised once (a
-    batched resubmission typically repeats a handful of configs across
-    many seeds), and only the per-point splice + SHA-256 remain per key.
+    rendered once per batch, each config's token comes from a memo
+    shared across calls (keyed type-exactly, see :func:`_exact_key`),
+    and only the per-point splice + SHA-256 remain per key.
 
     Relies on ``sort_keys`` ordering of the canonical payload --
     ``config < schema < seed < workload`` -- which is pinned by the
@@ -152,27 +280,16 @@ def batch_cache_keys(
         )
     mid = f',"schema":{SCHEMA_VERSION},"seed":'
     tail = f',"workload":{json.dumps(workload_id(workload))}}}'
-    token_memo: Dict[Any, str] = {}
     keys: List[str] = []
     for config, seed in zip(configs, seeds):
-        try:
-            token = token_memo.get(config)
-            memoizable = True
-        except TypeError:  # unhashable config: tokenise every time
-            token, memoizable = None, False
-        if token is None:
-            token = json.dumps(
-                _config_token(config), sort_keys=True, separators=(",", ":")
-            )
-            if memoizable:
-                token_memo[config] = token
-        payload = f'{{"config":{token}{mid}{seed}{tail}'
+        payload = f'{{"config":{_token_text(config)}{mid}{seed}{tail}'
         keys.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
     return keys
 
 
 class RunCache:
-    """Directory-backed result cache with hit/miss accounting.
+    """Directory-backed result cache with hit/miss accounting, and a
+    bounded memory tier of verified records in front of the files.
 
     ``get``/``put`` never raise on cache trouble: a corrupt entry is a
     miss, an unwritable or non-JSON result is silently not cached --
@@ -183,6 +300,12 @@ class RunCache:
         self.root = root
         self.hits = 0
         self.misses = 0
+        #: Hits answered by the memory tier (a subset of ``hits``).
+        self.mem_hits = 0
+        #: Verified record text by key; see the module docstring.
+        self._memory = BoundedLRU(
+            MEMORY_TIER_BYTES, lambda text: len(text) + ENTRY_OVERHEAD_BYTES
+        )
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], f"{key}.json")
@@ -191,22 +314,33 @@ class RunCache:
         """The cached result for ``key``, or ``default`` (counted as a
         miss).  Pass a sentinel default when cached ``None`` results
         must be distinguishable from misses."""
-        path = self._path(key)
+        text = self._memory.get(key)
+        if text is not None:
+            self.hits += 1
+            self.mem_hits += 1
+            return json.loads(text)["result"]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                record = json.load(fh)
-            if record.get("schema") != SCHEMA_VERSION or record.get("key") != key:
+            with open(self._path(key), "r", encoding="utf-8") as fh:
+                text = fh.read()
+            record = json.loads(text)
+            if (
+                not isinstance(record, dict)
+                or record.get("schema") != SCHEMA_VERSION
+                or record.get("key") != key
+            ):
                 raise ValueError("stale or foreign cache record")
             result = record["result"]
         except (OSError, ValueError, KeyError):
             self.misses += 1
             return default
+        self._memory.put(key, text)
         self.hits += 1
         return result
 
     def put(self, key: str, result: Any) -> None:
         """Store ``result`` (must be JSON-serialisable; silently skipped
         otherwise) atomically under ``key``."""
+        self._memory.pop(key)
         record = {"schema": SCHEMA_VERSION, "key": key, "result": result}
         try:
             encoded = json.dumps(record)
@@ -231,7 +365,12 @@ class RunCache:
             return
 
     def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "mem_hits": self.mem_hits,
+            "mem_bytes": self._memory.bytes,
+        }
 
     def entries(self) -> Iterator[Tuple[str, int, float]]:
         """Yield ``(path, size_bytes, mtime)`` for every stored record.
@@ -297,10 +436,12 @@ class RunCache:
     def prune(self, older_than_s: float = 0.0, now: Optional[float] = None) -> Dict[str, Any]:
         """Delete records not touched in the last ``older_than_s``
         seconds (``0`` empties the cache); returns removal counts.
+        The memory tier is emptied whatever the age.
 
         Emptied shard directories are removed too, so a fully pruned
         cache leaves only its root behind.
         """
+        self._memory.clear()
         if now is None:
             now = time.time()
         cutoff = now - older_than_s

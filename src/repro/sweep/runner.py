@@ -30,11 +30,28 @@ from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.sweep.cache import RunCache, cache_key, describe_config
+from repro.sweep.cache import (
+    ENTRY_OVERHEAD_BYTES,
+    BoundedLRU,
+    RunCache,
+    cache_key,
+    describe_config,
+)
 from repro.util.errors import ConfigurationError, SweepPointError
 
 #: Distinguishes "not in the cache" from a legitimately cached None.
 _MISS = object()
+
+#: Bound on the :func:`sweep_seeds` memo.  One job may carry thousands
+#: of seeds, so entries are charged by size, not counted.
+SEED_MEMO_BYTES = 1 << 20
+
+#: What one memoised seed costs: a 63-bit int object and its slot.
+_SEED_BYTES = 48
+
+_SEED_MEMO = BoundedLRU(
+    SEED_MEMO_BYTES, lambda seeds: len(seeds) * _SEED_BYTES + ENTRY_OVERHEAD_BYTES
+)
 
 
 def sweep_seeds(seed: int, n: int) -> List[int]:
@@ -43,12 +60,23 @@ def sweep_seeds(seed: int, n: int) -> List[int]:
     Child ``SeedSequence.spawn`` streams collapsed to one 63-bit
     integer each: statistically independent across configs, stable
     across processes and platforms, and small enough to pass to any
-    ``Engine(seed=...)`` or ``default_rng`` call.
+    ``Engine(seed=...)`` or ``default_rng`` call.  Results for plain
+    ``int`` arguments are memoised (every admission of a job derives
+    its seeds, and a resubmitted job asks again); each call returns a
+    fresh list.
     """
     if n < 0:
         raise ConfigurationError(f"cannot derive {n} sweep seeds")
-    children = np.random.SeedSequence(seed).spawn(n)
-    return [int(c.generate_state(1, dtype=np.uint64)[0] >> 1) for c in children]
+    # Only plain ints are memoised: 1.0, True and np.int64(1) are equal
+    # keys to 1, but SeedSequence rejects the float.
+    memoizable = type(seed) is int and type(n) is int
+    seeds = _SEED_MEMO.get((seed, n)) if memoizable else None
+    if seeds is None:
+        children = np.random.SeedSequence(seed).spawn(n)
+        seeds = tuple(int(c.generate_state(1, dtype=np.uint64)[0] >> 1) for c in children)
+        if memoizable:
+            _SEED_MEMO.put((seed, n), seeds)
+    return list(seeds)
 
 
 def call_sweep_point(

@@ -5,13 +5,24 @@ daemon thread (:func:`serve_in_thread`) and drives it with the stdlib
 HTTP client -- the full wire path, no mocking.
 """
 
+import builtins
 import http.client
 import json
+from unittest import mock
 
 import pytest
 
 from repro.serve import InProcessBackend, PoolBackend, serve_in_thread
-from repro.sweep import Lu2dPoint, RunCache, WorkloadEntry, lu2d_point, run_sweep
+from repro.sweep import (
+    CollectivesPoint,
+    Lu2dPoint,
+    RunCache,
+    SweepPointError,
+    WorkloadEntry,
+    collectives_point,
+    lu2d_point,
+    run_sweep,
+)
 
 from tests.serve._workloads import (
     CrashConfig,
@@ -79,6 +90,78 @@ class TestServeEndToEnd:
         # so only the two scheduled points contribute.
         assert stats["point_wall"]["setup_wall_s"] > 0.0
         assert stats["point_wall"]["execute_wall_s"] > 0.0
+
+    def test_equal_but_distinct_configs_served_like_run_sweep(self, tmp_path):
+        """``ranks=32.0`` and ``rounds=true`` compare equal to ``32`` and
+        ``1`` but are different points: served, they must miss the
+        cache and come out as a direct ``run_sweep`` does."""
+        cache = RunCache(str(tmp_path / "cache"))
+        base = {"ranks": 32, "rounds": 1}
+        with serve_in_thread(
+            backend=InProcessBackend(workers=1), cache=cache
+        ) as handle, handle.client() as client:
+            first = client.run("collectives", [base, base], seed=5)
+            as_float = client.run("collectives", [base, {"ranks": 32.0, "rounds": 1}], seed=5)
+            as_bool = client.run("collectives", [base, {"ranks": 32, "rounds": True}], seed=5)
+
+        assert first["state"] == "done"
+        # Direct run_sweep rejects the float rank count at position 1 ...
+        with pytest.raises(SweepPointError) as excinfo:
+            run_sweep(
+                [CollectivesPoint(**base), CollectivesPoint(ranks=32.0, rounds=1)],
+                collectives_point, workers=1, seed=5,
+            )
+        assert excinfo.value.index == 1
+        # ... and so does the server, instead of replaying the int's result.
+        assert as_float["dedupe"] == {"cache_hits": 1, "coalesced": 0, "scheduled": 1}
+        assert as_float["state"] == "failed"
+        assert as_float["error"]["index"] == 1
+        assert "TypeError" in as_float["error"]["message"]
+
+        direct = run_sweep(
+            [CollectivesPoint(**base), CollectivesPoint(ranks=32, rounds=True)],
+            collectives_point, workers=1, seed=5,
+        )
+        keys = ("ranks", "virtual_time_s", "events", "messages", "bytes", "reduction")
+        assert as_bool["dedupe"] == {"cache_hits": 1, "coalesced": 0, "scheduled": 1}
+        assert as_bool["state"] == "done"
+        assert [{k: r[k] for k in keys} for r in as_bool["results"]] == [
+            {k: r[k] for k in keys} for r in direct
+        ]
+
+    def test_warm_resubmit_opens_no_cache_file(self, tmp_path):
+        """The first hit reads the record file; later hits, single or
+        batched, are answered from the cache's memory tier."""
+        root = str(tmp_path / "cache")
+        cache = RunCache(root)
+        real_open = builtins.open
+
+        def cache_files_opened(spy):
+            return [c for c in spy.call_args_list if str(c.args[0]).startswith(root)]
+
+        with serve_in_thread(
+            backend=InProcessBackend(workers=2), cache=cache
+        ) as handle, handle.client() as client:
+            cold = client.run("lu2d", LU2D_CONFIGS, seed=3)
+            with mock.patch("builtins.open", side_effect=real_open) as spy:
+                from_disk = client.run("lu2d", LU2D_CONFIGS, seed=3)
+            assert len(cache_files_opened(spy)) == len(LU2D_CONFIGS)
+            before = client.stats()["cache"]
+            with mock.patch("builtins.open", side_effect=real_open) as spy:
+                single = client.run("lu2d", LU2D_CONFIGS, seed=3)
+                batched = client.run_batch(
+                    [{"workload": "lu2d", "configs": LU2D_CONFIGS, "seed": 3}]
+                )
+            assert cache_files_opened(spy) == []
+            after = client.stats()["cache"]
+
+        assert cold["dedupe"]["scheduled"] == len(LU2D_CONFIGS)
+        for warm in (from_disk, single, *batched):
+            assert warm["dedupe"]["cache_hits"] == len(LU2D_CONFIGS)
+            assert warm["results"] == cold["results"]
+        assert after["mem_hits"] - before["mem_hits"] == 2 * len(LU2D_CONFIGS)
+        assert after["hits"] - before["hits"] == 2 * len(LU2D_CONFIGS)
+        assert after["mem_bytes"] == before["mem_bytes"] > 0
 
     def test_different_seed_is_not_a_cache_hit(self, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))

@@ -10,11 +10,15 @@ pool -- rather than hanging the sweep.
 
 import json
 import os
+import sys
+import threading
+from dataclasses import dataclass
 
 import pytest
 
 from repro.sweep import (
     SCHEMA_VERSION,
+    CollectivesPoint,
     Lu2dPoint,
     RunCache,
     SweepPointError,
@@ -26,6 +30,8 @@ from repro.sweep import (
     sweep_seeds,
     workload_id,
 )
+from repro.sweep import cache as cache_module
+from repro.sweep.cache import ENTRY_OVERHEAD_BYTES, BoundedLRU
 from repro.util.errors import ConfigurationError
 
 CONFIGS = [Lu2dPoint(2, 2, 32), Lu2dPoint(2, 4, 32)]
@@ -37,6 +43,26 @@ DETERMINISTIC_FIELDS = (
 
 def _deterministic(results):
     return [{k: r[k] for k in DETERMINISTIC_FIELDS} for r in results]
+
+
+def _stats(hits, misses, mem_hits=0, mem_bytes=0):
+    return {"hits": hits, "misses": misses, "mem_hits": mem_hits, "mem_bytes": mem_bytes}
+
+
+def _tier_bytes(cache, keys):
+    """What the memory tier charges for holding ``keys``' records."""
+    return sum(
+        os.path.getsize(os.path.join(cache.root, key[:2], f"{key}.json"))
+        + ENTRY_OVERHEAD_BYTES
+        for key in keys
+    )
+
+
+@dataclass(frozen=True)
+class _Nested:
+    """A config whose field is not a scalar."""
+
+    shape: tuple
 
 
 def _echo(config, seed):
@@ -126,6 +152,52 @@ class TestBatchCacheKeys:
     def test_empty_batch_is_empty(self):
         assert batch_cache_keys(_echo, [], []) == []
 
+    #: Config pairs that compare and hash equal but tokenise apart.
+    EQUAL_BUT_DISTINCT = [
+        (CollectivesPoint(ranks=32), CollectivesPoint(ranks=32.0)),
+        (CollectivesPoint(ranks=32, rounds=1), CollectivesPoint(ranks=32, rounds=True)),
+        (
+            Lu2dPoint(2, 2, 32, eager_threshold_bytes=0.0),
+            Lu2dPoint(2, 2, 32, eager_threshold_bytes=-0.0),
+        ),
+        ((1, "x"), (1.0, "x")),
+        (_Nested((1, 2)), _Nested((1.0, 2))),
+    ]
+
+    @pytest.mark.parametrize(
+        "pair",
+        EQUAL_BUT_DISTINCT,
+        ids=["int-float", "int-bool", "zero-sign", "tuple", "nested-dataclass"],
+    )
+    def test_batch_keys_are_type_exact(self, pair):
+        """The token memo must not conflate configs that are equal as
+        values: within one batch, and across calls (the memo outlives
+        a call), each key equals ``cache_key``'s."""
+        a, b = pair
+        assert a == b and hash(a) == hash(b)
+        direct = [cache_key(_echo, c, 5) for c in (a, b)]
+        assert direct[0] != direct[1]
+        assert batch_cache_keys(_echo, [a, b], [5, 5]) == direct
+        assert batch_cache_keys(_echo, [b], [5]) == direct[1:]
+        assert batch_cache_keys(_echo, [a], [5]) == direct[:1]
+
+
+class TestSweepSeeds:
+    def test_repeat_calls_return_fresh_equal_lists(self):
+        first = sweep_seeds(11, 3)
+        first.append(-1)  # a caller's mutation must not reach the memo
+        assert sweep_seeds(11, 3) == first[:3]
+        assert sweep_seeds(11, 3) is not sweep_seeds(11, 3)
+
+    def test_memo_is_type_exact(self):
+        sweep_seeds(1, 2)
+        with pytest.raises(TypeError):
+            sweep_seeds(1.0, 2)  # SeedSequence rejects a float seed
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigurationError):
+            sweep_seeds(0, -1)
+
 
 class TestRunCache:
     def test_round_trip_and_counters(self, tmp_path):
@@ -135,7 +207,7 @@ class TestRunCache:
         assert cache.get(key, sentinel) is sentinel
         cache.put(key, {"value": 12})
         assert cache.get(key) == {"value": 12}
-        assert cache.stats() == {"hits": 1, "misses": 1}
+        assert cache.stats() == _stats(1, 1, mem_bytes=_tier_bytes(cache, [key]))
 
     def test_cached_none_distinguished_from_miss(self, tmp_path):
         cache = RunCache(str(tmp_path / "rc"))
@@ -177,6 +249,151 @@ class TestRunCache:
         cache.put(key, object())
         sentinel = object()
         assert cache.get(key, sentinel) is sentinel
+
+
+class TestMemoryTier:
+    """The in-memory tier in front of the record files."""
+
+    def test_filled_only_by_a_verified_read(self, tmp_path):
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        cache.put(key, {"value": 1})
+        assert cache.stats()["mem_bytes"] == 0  # put does not fill it
+        assert cache.get(key) == {"value": 1}  # a disk read does
+        assert cache.get(key) == {"value": 1}
+        assert cache.stats() == _stats(2, 0, mem_hits=1, mem_bytes=_tier_bytes(cache, [key]))
+
+    def test_mutated_hit_does_not_change_the_next_hit(self, tmp_path):
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        cache.put(key, {"values": [1, 2]})
+        from_disk = cache.get(key)
+        from_disk["values"].append(3)
+        from_memory = cache.get(key)
+        assert from_memory == {"values": [1, 2]}
+        from_memory["values"].clear()
+        assert cache.get(key) == {"values": [1, 2]}
+        assert cache.stats()["mem_hits"] == 2
+
+    def test_get_after_put_returns_what_put_stored(self, tmp_path):
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        cache.put(key, "old")
+        assert cache.get(key) == "old"
+        assert cache.get(key) == "old"  # now held in memory
+        cache.put(key, "new")
+        assert cache.get(key) == "new"
+        assert cache.get(key) == "new"
+
+    def test_prune_leaves_no_hit_in_memory(self, tmp_path):
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        cache.put(key, 7)
+        cache.get(key)
+        assert cache.stats()["mem_bytes"] > 0
+        cache.prune(older_than_s=0)
+        assert cache.stats()["mem_bytes"] == 0
+        sentinel = object()
+        assert cache.get(key, sentinel) is sentinel
+        assert cache.stats()["mem_hits"] == 0
+
+    def test_prune_of_other_records_still_empties_memory(self, tmp_path):
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        cache.put(key, 7)
+        cache.get(key)
+        assert cache.prune(older_than_s=3600)["kept"] == 1
+        assert cache.stats()["mem_bytes"] == 0
+        assert cache.get(key) == 7  # re-read from disk, not from memory
+        assert cache.stats()["mem_hits"] == 0
+
+    def test_byte_bound_holds_with_lru_eviction(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "rc")
+        keys = [cache_key(_echo, f"c{i}", i) for i in range(3)]
+        writer = RunCache(root)
+        for key in keys:
+            writer.put(key, {"pad": "x" * 100})
+        per_record = _tier_bytes(writer, keys[:1])
+        assert _tier_bytes(writer, keys) == 3 * per_record
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_BYTES", 2 * per_record)
+        cache = RunCache(root)
+        cache.get(keys[0])
+        cache.get(keys[1])
+        cache.get(keys[0])  # memory hit: keys[1] is now least recent
+        assert cache.stats() == _stats(3, 0, mem_hits=1, mem_bytes=2 * per_record)
+        cache.get(keys[2])  # fills, evicting keys[1]
+        assert cache.stats()["mem_bytes"] == 2 * per_record
+        cache.get(keys[0])
+        cache.get(keys[2])
+        assert cache.stats()["mem_hits"] == 3
+        cache.get(keys[1])  # evicted: read from disk again
+        assert cache.stats() == _stats(7, 0, mem_hits=3, mem_bytes=2 * per_record)
+
+    def test_record_larger_than_the_bound_is_not_held(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_TIER_BYTES", ENTRY_OVERHEAD_BYTES + 10)
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        cache.put(key, "a result longer than ten characters")
+        assert cache.get(key) == cache.get(key)
+        assert cache.stats() == _stats(2, 0)
+
+    def test_parent_format_records_are_hits(self, tmp_path):
+        """A record written as a plain ``json.dump`` of the schema-1
+        layout (the on-disk format is unchanged) is a hit, then a
+        memory hit."""
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        path = os.path.join(cache.root, key[:2], f"{key}.json")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"schema": 1, "key": key, "result": [1.5, None]}, fh)
+        assert cache.get(key) == cache.get(key) == [1.5, None]
+        assert cache.stats() == _stats(2, 0, mem_hits=1, mem_bytes=_tier_bytes(cache, [key]))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "42", '{"schema": 1}'])
+    def test_non_record_json_is_a_miss(self, tmp_path, text):
+        cache = RunCache(str(tmp_path / "rc"))
+        key = cache_key(_echo, "c0", 0)
+        path = os.path.join(cache.root, key[:2], f"{key}.json")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        sentinel = object()
+        assert cache.get(key, sentinel) is sentinel
+        assert cache.stats() == _stats(0, 1)
+
+
+class TestBoundedLRU:
+    def test_concurrent_use_keeps_the_byte_count(self):
+        """Threads racing put/get/pop on a small bound: the charged
+        bytes must still equal what is held, and stay in bound."""
+        lru = BoundedLRU(limit=200, size=len)
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(2000):
+                    key = (worker + i) % 13
+                    lru.put(key, "x" * (1 + key * 5))
+                    lru.get((key + 1) % 13)
+                    if i % 7 == 0:
+                        lru.pop((key + 2) % 13)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert lru.bytes == sum(len(v) for v in lru._data.values()) <= 200
 
 
 class TestCacheManagement:
@@ -263,12 +480,23 @@ class TestRunSweepWithCache:
         cache = RunCache(str(tmp_path / "rc"))
         plain = run_sweep(CONFIGS, lu2d_point, workers=1, seed=3)
         first = run_sweep(CONFIGS, lu2d_point, workers=1, seed=3, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": len(CONFIGS)}
+        assert cache.stats() == _stats(0, len(CONFIGS))
         second = run_sweep(CONFIGS, lu2d_point, workers=1, seed=3, cache=cache)
-        assert cache.stats() == {"hits": len(CONFIGS), "misses": len(CONFIGS)}
+        keys = [
+            cache_key(lu2d_point, c, s)
+            for c, s in zip(CONFIGS, sweep_seeds(3, len(CONFIGS)))
+        ]
+        held = _tier_bytes(cache, keys)
+        assert cache.stats() == _stats(len(CONFIGS), len(CONFIGS), mem_bytes=held)
+        third = run_sweep(CONFIGS, lu2d_point, workers=1, seed=3, cache=cache)
+        assert cache.stats() == _stats(
+            2 * len(CONFIGS), len(CONFIGS), mem_hits=len(CONFIGS), mem_bytes=held
+        )
         assert _deterministic(plain) == _deterministic(first)
-        # The second pass is served verbatim from disk.
+        # The second pass is served verbatim from disk, the third from
+        # the memory tier.
         assert second == first
+        assert third == first
 
     def test_partial_hits_use_original_positional_seeds(self, tmp_path):
         cache = RunCache(str(tmp_path / "rc"))
@@ -278,7 +506,8 @@ class TestRunSweepWithCache:
         for i in (1, 2):
             cache.put(cache_key(_echo, configs[i], seeds[i]), "cached")
         out = run_sweep(configs, _echo, workers=1, seed=9, cache=cache)
-        assert cache.stats() == {"hits": 2, "misses": 2}
+        hit_keys = [cache_key(_echo, configs[i], seeds[i]) for i in (1, 2)]
+        assert cache.stats() == _stats(2, 2, mem_bytes=_tier_bytes(cache, hit_keys))
         assert out[1] == out[2] == "cached"
         # The misses ran with the seeds their positions would have
         # received in an uncached sweep -- order fully preserved.
@@ -290,13 +519,14 @@ class TestRunSweepWithCache:
         out1 = run_sweep(["a", "b"], _none_result, workers=1, cache=cache)
         out2 = run_sweep(["a", "b"], _none_result, workers=1, cache=cache)
         assert out1 == out2 == [None, None]
-        assert cache.stats() == {"hits": 2, "misses": 2}
+        keys = [cache_key(_none_result, c, s) for c, s in zip("ab", sweep_seeds(0, 2))]
+        assert cache.stats() == _stats(2, 2, mem_bytes=_tier_bytes(cache, keys))
 
     def test_seed_change_misses(self, tmp_path):
         cache = RunCache(str(tmp_path / "rc"))
         run_sweep(["a"], _echo, workers=1, seed=0, cache=cache)
         run_sweep(["a"], _echo, workers=1, seed=1, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 2}
+        assert cache.stats() == _stats(0, 2)
 
 
 class TestErrorPropagation:
@@ -334,7 +564,7 @@ class TestErrorPropagation:
         cache = RunCache(str(tmp_path / "rc"))
         with pytest.raises(SweepPointError):
             run_sweep(["c0", "c1"], _explode, workers=2, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 2}
+        assert cache.stats() == _stats(0, 2)
 
     def test_sweep_point_error_pickle_round_trip(self):
         import pickle
