@@ -15,6 +15,8 @@ simulation (see DESIGN.md for the substitution table):
 * :mod:`repro.program`   -- agencies, budget, responsibilities, consortia
 * :mod:`repro.core`      -- workloads, testbeds, evaluation campaigns
 
+Each subpackage is imported on first access (PEP 562), not by ``import repro``.
+
 Quickstart::
 
     from repro.machine import touchstone_delta
@@ -24,9 +26,9 @@ Quickstart::
     print(delta_linpack())   # the paper's 13-vs-32 GFLOPS exhibit
 """
 
-__version__ = "1.0.0"
+import importlib
 
-from repro import apps, core, linalg, machine, network, program, simmpi, util
+__version__ = "1.0.0"
 
 __all__ = [
     "apps",
@@ -39,3 +41,13 @@ __all__ = [
     "util",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module(f"repro.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,15 +9,16 @@ offers the two classic objectives:
 * ``widest_path`` -- maximise the bottleneck throughput, the
   bulk-transfer objective.
 
-Built on :mod:`networkx` for the graph algorithms.
+Both searches run from both ends and visit neighbours in link order, as
+:mod:`networkx` (the test oracle) does, so equal-cost routes tie-break alike.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.network.links import LinkClass
 from repro.util.errors import NetworkError
@@ -63,7 +64,7 @@ class WideAreaNetwork:
 
     def __init__(self, name: str = "wan"):
         self.name = name
-        self._graph = nx.Graph()
+        self._adj: Dict[str, Dict[str, WanLink]] = {}
         self._sites: Dict[str, Site] = {}
 
     # -- construction --------------------------------------------------------
@@ -72,7 +73,7 @@ class WideAreaNetwork:
         if site.name in self._sites:
             raise NetworkError(f"duplicate site {site.name!r}")
         self._sites[site.name] = site
-        self._graph.add_node(site.name)
+        self._adj[site.name] = {}
 
     def add_link(self, link: WanLink) -> None:
         for end in (link.a, link.b):
@@ -80,9 +81,9 @@ class WideAreaNetwork:
                 raise NetworkError(f"link endpoint {end!r} is not a site")
         if link.a == link.b:
             raise NetworkError(f"self-link at {link.a!r}")
-        if self._graph.has_edge(link.a, link.b):
+        if link.b in self._adj[link.a]:
             raise NetworkError(f"duplicate link {link.a!r} -- {link.b!r}")
-        self._graph.add_edge(link.a, link.b, link=link)
+        self._adj[link.a][link.b] = self._adj[link.b][link.a] = link
 
     def connect(
         self, a: str, b: str, link_class: LinkClass, distance_km: float = 100.0
@@ -102,67 +103,62 @@ class WideAreaNetwork:
         except KeyError:
             raise NetworkError(f"unknown site {name!r}") from None
 
+    def _edges(self) -> List[Tuple[str, str, WanLink]]:
+        """Each link once, as ``(a, b, link)`` with site ``a`` added before ``b``."""
+        rank = {name: i for i, name in enumerate(self._adj)}
+        return [(a, b, link) for a, nbrs in self._adj.items()
+                for b, link in nbrs.items() if rank[b] > rank[a]]
+
     @property
     def links(self) -> List[WanLink]:
-        return [data["link"] for _, _, data in self._graph.edges(data=True)]
+        return [link for _, _, link in self._edges()]
 
     def link_between(self, a: str, b: str) -> WanLink:
         self.site(a), self.site(b)
-        data = self._graph.get_edge_data(a, b)
-        if data is None:
+        link = self._adj[a].get(b)
+        if link is None:
             raise NetworkError(f"no direct link {a!r} -- {b!r}")
-        return data["link"]
+        return link
 
     def degree(self, name: str) -> int:
         self.site(name)
-        return self._graph.degree[name]
+        return len(self._adj[name])
 
     def is_connected(self) -> bool:
-        if len(self._sites) == 0:
-            return True
-        return nx.is_connected(self._graph)
+        sites = list(self._adj)
+        return all(_hop_path(self._adj, sites[0], site) for site in sites[1:])
 
     # -- routing ---------------------------------------------------------------
 
     def _check_endpoints(self, src: str, dst: str) -> None:
         self.site(src)
         self.site(dst)
-        if not nx.has_path(self._graph, src, dst):
+        if _hop_path(self._adj, src, dst) is None:
             raise NetworkError(f"no route from {src!r} to {dst!r}")
 
     def shortest_path(self, src: str, dst: str) -> List[str]:
         """Minimum-latency route (site names, endpoints included)."""
         self._check_endpoints(src, dst)
-        return nx.shortest_path(
-            self._graph, src, dst,
-            weight=lambda u, v, d: d["link"].latency_s,
-        )
+        return _latency_path(self._adj, src, dst)
 
     def widest_path(self, src: str, dst: str) -> List[str]:
         """Maximum-bottleneck-throughput route.
 
-        Computed by binary search over throughput thresholds (the graphs
-        here are small).
+        Computed by trying each link throughput as a threshold, fastest
+        first (the graphs here are small).
         """
         self._check_endpoints(src, dst)
-        rates = sorted(
-            {data["link"].link_class.throughput_bytes_per_s
-             for _, _, data in self._graph.edges(data=True)},
-            reverse=True,
-        )
-        best: Optional[List[str]] = None
-        for threshold in rates:
-            sub = nx.Graph(
-                (u, v, d)
-                for u, v, d in self._graph.edges(data=True)
-                if d["link"].link_class.throughput_bytes_per_s >= threshold
-            )
-            if sub.has_node(src) and sub.has_node(dst) and nx.has_path(sub, src, dst):
-                best = nx.shortest_path(sub, src, dst)
-                break
-        if best is None:
-            raise NetworkError(f"no route from {src!r} to {dst!r}")  # pragma: no cover
-        return best
+        edges = self._edges()
+        rates = {link.link_class.throughput_bytes_per_s for _, _, link in edges}
+        for threshold in sorted(rates, reverse=True):
+            sub: Dict[str, Dict[str, WanLink]] = {}
+            for a, b, link in edges:
+                if link.link_class.throughput_bytes_per_s >= threshold:
+                    sub.setdefault(a, {})[b] = sub.setdefault(b, {})[a] = link
+            route = _hop_path(sub, src, dst) if src in sub and dst in sub else None
+            if route is not None:
+                return route
+        raise NetworkError(f"no route from {src!r} to {dst!r}")
 
     def path_links(self, path: List[str]) -> List[WanLink]:
         """The links along a site path."""
@@ -178,3 +174,55 @@ class WideAreaNetwork:
     def path_latency(self, path: List[str]) -> float:
         """One-way latency along the path."""
         return sum(l.latency_s for l in self.path_links(path))
+
+
+def _walk(pred: Dict[str, Optional[str]], node: Optional[str]) -> Iterator[str]:
+    while node is not None:
+        yield node
+        node = pred[node]
+
+
+def _hop_path(adj, src: str, dst: str) -> Optional[List[str]]:
+    """Fewest-hop route or ``None``: BFS from both ends, smaller frontier first."""
+    if src == dst:
+        return [src]
+    pred: List[Dict[str, Optional[str]]] = [{src: None}, {dst: None}]
+    fringe = [[src], [dst]]
+    while fringe[0] and fringe[1]:
+        side = 0 if len(fringe[0]) <= len(fringe[1]) else 1
+        level, fringe[side] = fringe[side], []
+        for v in level:
+            for w in adj[v]:
+                if w not in pred[side]:
+                    pred[side][w] = v
+                    fringe[side].append(w)
+                if w in pred[1 - side]:
+                    return [*_walk(pred[0], w)][::-1] + [*_walk(pred[1], pred[1][w])]
+    return None
+
+
+def _latency_path(adj, src: str, dst: str) -> List[str]:
+    """Minimum-latency route between connected sites: Dijkstra from both
+    ends in turn, until one site is settled from both."""
+    order = itertools.count()
+    done: List[Dict[str, float]] = [{}, {}]
+    seen: List[Dict[str, float]] = [{src: 0}, {dst: 0}]
+    pred: List[Dict[str, Optional[str]]] = [{src: None}, {dst: None}]
+    fringe = [[(0, next(order), src)], [(0, next(order), dst)]]
+    best, meet, side = None, src, 1  # meet stays src when src == dst
+    while True:
+        side = 1 - side
+        dist, _, v = heapq.heappop(fringe[side])
+        if v in done[side]:
+            continue
+        done[side][v] = dist
+        if v in done[1 - side]:
+            return [*_walk(pred[0], meet)][::-1] + [*_walk(pred[1], pred[1][meet])]
+        for w, link in adj[v].items():
+            length = dist + link.latency_s
+            if w not in done[side] and (w not in seen[side] or length < seen[side][w]):
+                seen[side][w] = length
+                heapq.heappush(fringe[side], (length, next(order), w))
+                pred[side][w] = v
+                if w in seen[1 - side] and (best is None or best > length + seen[1 - side][w]):
+                    best, meet = length + seen[1 - side][w], w

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import parse_qs
@@ -519,7 +520,7 @@ def run_server(
     shards: int = 0,
     max_jobs: int = 1024,
 ) -> None:
-    """Blocking entrypoint behind ``repro serve``: run until Ctrl-C."""
+    """Blocking entrypoint behind ``repro serve``: run until Ctrl-C or SIGTERM."""
     cache = RunCache(cache_dir) if cache_dir else None
 
     async def _main() -> None:
@@ -531,6 +532,8 @@ def run_server(
             max_jobs=max_jobs,
         )
         await server.start()
+        # SIGTERM cancels this task as Ctrl-C does; the finally below closes the backend.
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
         sharding = f", shards={shards}" if shards and shards >= 2 else ""
         print(
             f"repro serve listening on http://{server.host}:{server.port} "
@@ -546,5 +549,5 @@ def run_server(
 
     try:
         asyncio.run(_main())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro serve: shut down", flush=True)

@@ -44,6 +44,7 @@ import asyncio
 import bisect
 import hashlib
 import os
+import signal
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
@@ -157,8 +158,13 @@ class PoolBackend(_ExecutorBackend):
 
     def __init__(self, workers: Optional[int] = None):
         super().__init__(workers or os.cpu_count() or 1)
-        self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._pool = self._new_pool()
         self.restarts = 0
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        # A worker dies on SIGTERM, whatever handler the server it forked from set.
+        return ProcessPoolExecutor(self.workers, initializer=signal.signal,
+                                   initargs=(signal.SIGTERM, signal.SIG_DFL))
 
     def _executor(self):
         return self._pool
@@ -168,7 +174,7 @@ class PoolBackend(_ExecutorBackend):
         # only the first one swaps in a replacement.
         if executor is self._pool:
             self.restarts += 1
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            self._pool = self._new_pool()
             executor.shutdown(wait=False)
 
     def utilization(self) -> Dict[str, Any]:

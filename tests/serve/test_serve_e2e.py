@@ -54,7 +54,8 @@ def _sleepy_registry(delay_ms=500):
 class TestServeEndToEnd:
     def test_served_job_bit_identical_to_direct_run_sweep(self):
         with serve_in_thread(backend=InProcessBackend(workers=2)) as handle:
-            payload = handle.client().run("lu2d", LU2D_CONFIGS, seed=3)
+            with handle.client() as client:
+                payload = client.run("lu2d", LU2D_CONFIGS, seed=3)
         assert payload["state"] == "done"
         assert payload["dedupe"] == {"cache_hits": 0, "coalesced": 0, "scheduled": 2}
 
@@ -69,10 +70,10 @@ class TestServeEndToEnd:
     def test_second_submit_is_all_cache_hits(self, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))
         with serve_in_thread(backend=InProcessBackend(workers=2), cache=cache) as handle:
-            client = handle.client()
-            first = client.run("lu2d", LU2D_CONFIGS, seed=3)
-            second = client.run("lu2d", LU2D_CONFIGS, seed=3)
-            stats = client.stats()
+            with handle.client() as client:
+                first = client.run("lu2d", LU2D_CONFIGS, seed=3)
+                second = client.run("lu2d", LU2D_CONFIGS, seed=3)
+                stats = client.stats()
 
         assert first["dedupe"] == {"cache_hits": 0, "coalesced": 0, "scheduled": 2}
         assert second["dedupe"] == {"cache_hits": 2, "coalesced": 0, "scheduled": 0}
@@ -166,9 +167,9 @@ class TestServeEndToEnd:
     def test_different_seed_is_not_a_cache_hit(self, tmp_path):
         cache = RunCache(str(tmp_path / "cache"))
         with serve_in_thread(backend=InProcessBackend(workers=2), cache=cache) as handle:
-            client = handle.client()
-            client.run("lu2d", LU2D_CONFIGS[:1], seed=3)
-            other = client.run("lu2d", LU2D_CONFIGS[:1], seed=4)
+            with handle.client() as client:
+                client.run("lu2d", LU2D_CONFIGS[:1], seed=3)
+                other = client.run("lu2d", LU2D_CONFIGS[:1], seed=4)
         assert other["dedupe"]["cache_hits"] == 0
         assert other["dedupe"]["scheduled"] == 1
 
@@ -177,13 +178,13 @@ class TestServeEndToEnd:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=registry
         ) as handle:
-            client = handle.client()
-            spec = [{"delay_ms": delay_ms}]
-            a = client.submit("sleepy", spec, seed=1)
-            b = client.submit("sleepy", spec, seed=1)  # identical, in flight
-            done_a = client.wait(a["job_id"])
-            done_b = client.wait(b["job_id"])
-            stats = client.stats()
+            with handle.client() as client:
+                spec = [{"delay_ms": delay_ms}]
+                a = client.submit("sleepy", spec, seed=1)
+                b = client.submit("sleepy", spec, seed=1)  # identical, in flight
+                done_a = client.wait(a["job_id"])
+                done_b = client.wait(b["job_id"])
+                stats = client.stats()
 
         assert a["dedupe"] == {"cache_hits": 0, "coalesced": 0, "scheduled": 1}
         assert b["dedupe"] == {"cache_hits": 0, "coalesced": 1, "scheduled": 0}
@@ -198,11 +199,11 @@ class TestServeEndToEnd:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=registry
         ) as handle:
-            client = handle.client()
-            submitted = client.submit(
-                "sleepy", [{"delay_ms": 50, "tag": "x"}, {"delay_ms": 50, "tag": "y"}]
-            )
-            events = list(client.events(submitted["job_id"]))
+            with handle.client() as client:
+                submitted = client.submit(
+                    "sleepy", [{"delay_ms": 50, "tag": "x"}, {"delay_ms": 50, "tag": "y"}]
+                )
+                events = list(client.events(submitted["job_id"]))
 
         point_events = [e for e in events if e["event"] == "point"]
         assert len(point_events) == 2
@@ -213,31 +214,31 @@ class TestServeEndToEnd:
 
     def test_job_listing_is_newest_first(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            first = client.run("lu2d", LU2D_CONFIGS[:1])
-            second = client.run("lu2d", LU2D_CONFIGS[1:])
-            listed = client.jobs()
+            with handle.client() as client:
+                first = client.run("lu2d", LU2D_CONFIGS[:1])
+                second = client.run("lu2d", LU2D_CONFIGS[1:])
+                listed = client.jobs()
         assert [j["job_id"] for j in listed] == [second["job_id"], first["job_id"]]
 
 
 class TestServeErrors:
     def test_malformed_specs_get_structured_4xx(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            cases = [
-                ({"workload": "qcd", "configs": [{}]}, "unknown-workload"),
-                ({"workload": "lu2d"}, "bad-request"),
-                ({"workload": "lu2d", "configs": [{"prows": 2}]}, "bad-request"),
-                ({"workload": "lu2d", "configs": [{}], "nope": 1}, "bad-request"),
-                ([1, 2], "bad-request"),
-            ]
-            for payload, code in cases:
-                status, decoded = client.request("POST", "/jobs", payload)
-                assert status == 400, payload
-                assert decoded["error"]["code"] == code, payload
-                assert decoded["error"]["message"]
-            # A malformed spec never half-submits a job.
-            assert client.jobs() == []
+            with handle.client() as client:
+                cases = [
+                    ({"workload": "qcd", "configs": [{}]}, "unknown-workload"),
+                    ({"workload": "lu2d"}, "bad-request"),
+                    ({"workload": "lu2d", "configs": [{"prows": 2}]}, "bad-request"),
+                    ({"workload": "lu2d", "configs": [{}], "nope": 1}, "bad-request"),
+                    ([1, 2], "bad-request"),
+                ]
+                for payload, code in cases:
+                    status, decoded = client.request("POST", "/jobs", payload)
+                    assert status == 400, payload
+                    assert decoded["error"]["code"] == code, payload
+                    assert decoded["error"]["message"]
+                # A malformed spec never half-submits a job.
+                assert client.jobs() == []
 
     def test_non_json_body_is_a_400(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
@@ -257,24 +258,24 @@ class TestServeErrors:
 
     def test_unknown_job_and_route_are_404_wrong_method_is_405(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            status, decoded = client.request("GET", "/jobs/job-999")
-            assert status == 404 and decoded["error"]["code"] == "not-found"
-            status, decoded = client.request("GET", "/nope")
-            assert status == 404
-            status, decoded = client.request("DELETE", "/jobs")
-            assert status == 405 and decoded["error"]["code"] == "method-not-allowed"
+            with handle.client() as client:
+                status, decoded = client.request("GET", "/jobs/job-999")
+                assert status == 404 and decoded["error"]["code"] == "not-found"
+                status, decoded = client.request("GET", "/nope")
+                assert status == 404
+                status, decoded = client.request("DELETE", "/jobs")
+                assert status == 405 and decoded["error"]["code"] == "method-not-allowed"
 
     def test_workload_exception_fails_job_cleanly(self):
         registry = {"crash": WorkloadEntry("crash", crash_point, CrashConfig, "boom")}
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=registry
         ) as handle:
-            client = handle.client()
-            payload = client.run("crash", [{"mode": "raise"}], seed=9)
-            # The server survives and keeps serving real work.
-            assert client.healthz()["status"] == "ok"
-            after = client.run("lu2d", LU2D_CONFIGS[:1])
+            with handle.client() as client:
+                payload = client.run("crash", [{"mode": "raise"}], seed=9)
+                # The server survives and keeps serving real work.
+                assert client.healthz()["status"] == "ok"
+                after = client.run("lu2d", LU2D_CONFIGS[:1])
 
         assert payload["state"] == "failed"
         assert payload["error"]["type"] == "SweepPointError"
@@ -293,12 +294,12 @@ class TestPoolBackend:
         with serve_in_thread(
             backend=PoolBackend(workers=1), registry=registry
         ) as handle:
-            client = handle.client()
-            dead = client.run("crash", [{"mode": "exit"}], timeout=120)
-            assert client.healthz()["status"] == "ok"
-            # The replaced pool serves the next job normally.
-            alive = client.run("sleepy", [{"delay_ms": 1}], timeout=120)
-            stats = client.stats()
+            with handle.client() as client:
+                dead = client.run("crash", [{"mode": "exit"}], timeout=120)
+                assert client.healthz()["status"] == "ok"
+                # The replaced pool serves the next job normally.
+                alive = client.run("sleepy", [{"delay_ms": 1}], timeout=120)
+                stats = client.stats()
 
         assert dead["state"] == "failed"
         assert dead["error"]["type"] == "BackendError"
@@ -311,9 +312,11 @@ class TestPoolBackend:
 
     def test_pool_results_match_inprocess(self):
         with serve_in_thread(backend=PoolBackend(workers=2)) as handle:
-            pooled = handle.client().run("lu2d", LU2D_CONFIGS, seed=3, timeout=120)
+            with handle.client() as client:
+                pooled = client.run("lu2d", LU2D_CONFIGS, seed=3, timeout=120)
         with serve_in_thread(backend=InProcessBackend(workers=2)) as handle:
-            threaded = handle.client().run("lu2d", LU2D_CONFIGS, seed=3)
+            with handle.client() as client:
+                threaded = client.run("lu2d", LU2D_CONFIGS, seed=3)
         assert [_deterministic(r) for r in pooled["results"]] == [
             _deterministic(r) for r in threaded["results"]
         ]
