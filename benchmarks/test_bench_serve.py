@@ -15,10 +15,10 @@ trip, not a simulation.  These benchmarks measure exactly that price:
     a whole batch.  The test *asserts* v2 is at least 5x the committed
     v1 baseline: the tentpole's claim, enforced on every perf-smoke.
 
-``serve_sharded``
-    Engine events/sec through a 2-shard pool backend: distinct
-    collectives points routed by consistent hash across two
-    single-worker pool servers, both shards verified busy.
+``serve_pool``
+    Engine events/sec through a two-worker pool backend: distinct
+    collectives points run on the process pool the server uses by
+    default.
 
 All records land in ``BENCH_engine.json`` via ``--bench-json`` and are
 gated by ``check_bench_regression.py`` like every other engine number.
@@ -29,7 +29,7 @@ import os
 import tempfile
 import time
 
-from repro.serve import InProcessBackend, PoolBackend, ShardedBackend, serve_in_thread
+from repro.serve import InProcessBackend, PoolBackend, serve_in_thread
 from repro.sweep import RunCache
 
 #: The committed baseline the v2 plane is measured against.
@@ -145,31 +145,24 @@ def test_bench_serve_batched_keepalive_throughput(bench_record):
     )
 
 
-#: Distinct collectives points pushed through the sharded backend.
-SHARDED_POINTS = 12
-SHARDED_CONFIG = {"ranks": 16, "rounds": 2}
+#: Distinct collectives points pushed through the pool backend.
+POOL_POINTS = 12
+POOL_CONFIG = {"ranks": 16, "rounds": 2}
 
 
-def test_bench_serve_sharded_backend(bench_record):
-    """Engine events/sec through two consistent-hash pool shards."""
-    backend = ShardedBackend(shards=2, factory=lambda i: PoolBackend(workers=1))
-    with serve_in_thread(backend=backend) as handle:
-        client = handle.client()
-
-        # Warm-up: spawn both shards' pool workers off the clock.  The
-        # same configs at another seed route to (mostly) other keys but
-        # identical work.
-        warm = client.run(
-            "collectives", [SHARDED_CONFIG] * SHARDED_POINTS, seed=99, timeout=300
-        )
+def test_bench_serve_pool_backend(bench_record):
+    """Engine events/sec through one two-worker pool."""
+    with serve_in_thread(backend=PoolBackend(workers=2)) as handle, handle.client() as client:
+        # Warm-up: spawn both pool workers off the clock.  The same
+        # configs at another seed are other keys but identical work.
+        warm = client.run("collectives", [POOL_CONFIG] * POOL_POINTS, seed=99, timeout=300)
         assert warm["state"] == "done"
 
         best, best_events = float("inf"), 0
         for round_seed in range(BEST_OF):
             t0 = time.perf_counter()
             payload = client.run(
-                "collectives", [SHARDED_CONFIG] * SHARDED_POINTS,
-                seed=round_seed, timeout=300,
+                "collectives", [POOL_CONFIG] * POOL_POINTS, seed=round_seed, timeout=300
             )
             wall = time.perf_counter() - t0
             assert payload["state"] == "done"
@@ -179,17 +172,15 @@ def test_bench_serve_sharded_backend(bench_record):
 
         stats = client.stats()
 
-    by_shard = stats["backend"]["points_by_shard"]
-    assert sum(by_shard) == SHARDED_POINTS * (BEST_OF + 1)
-    assert all(n > 0 for n in by_shard), f"a shard sat idle: {by_shard}"
+    assert stats["backend"]["completed"] == POOL_POINTS * (BEST_OF + 1)
+    assert stats["backend"]["restarts"] == 0
 
     entry = bench_record(
-        "serve_sharded",
+        "serve_pool",
         events=best_events,
         wall_s=best,
-        points=SHARDED_POINTS,
-        shards=2,
-        points_by_shard=by_shard,
-        mode="sharded_pool_collectives",
+        points=POOL_POINTS,
+        workers=2,
+        mode="pool_collectives",
     )
     assert entry["events_per_sec"] > 0.0

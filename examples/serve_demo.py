@@ -7,10 +7,9 @@ result back, and never pay for the same question twice.  This demo
 boots a real server on an ephemeral loopback port, submits a tiny lu2d
 sweep twice, and proves the second submission is answered entirely
 from the content-addressed run cache -- bit-identical results, zero
-recomputation.  It then brings up the v2 data plane: a **2-shard**
-backend behind consistent-hash routing, driven by the pooled
-keep-alive client pushing **batched** submissions -- and a DELETE
-cancelling a job mid-flight.
+recomputation.  It then brings up the v2 data plane: a fresh server
+driven by the pooled keep-alive client pushing **batched**
+submissions -- and a DELETE cancelling a job mid-flight.
 
 It doubles as the CI smoke test: any assertion failure exits nonzero.
 
@@ -24,7 +23,7 @@ import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.serve import InProcessBackend, ShardedBackend, serve_in_thread
+from repro.serve import InProcessBackend, serve_in_thread
 from repro.sweep import RunCache
 
 
@@ -36,9 +35,9 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory(prefix="repro-serve-demo-") as tmp:
         cache = RunCache(os.path.join(tmp, "cache"))
-        with serve_in_thread(backend=InProcessBackend(workers=2), cache=cache) as handle:
-            client = handle.client()
-
+        with serve_in_thread(
+            backend=InProcessBackend(workers=2), cache=cache
+        ) as handle, handle.client() as client:
             print("=" * 70)
             print(f"1. Server up at http://{handle.host}:{handle.port}")
             health = client.healthz()
@@ -77,13 +76,11 @@ def main() -> None:
                   f"cache hits: {stats['cache_hits']}")
 
         print("=" * 70)
-        print("5. v2 data plane: 2 shards, keep-alive client, batched submits")
-        backend = ShardedBackend(
-            shards=2, factory=lambda i: InProcessBackend(workers=1)
-        )
-        cache2 = RunCache(os.path.join(tmp, "cache-sharded"))
-        with serve_in_thread(backend=backend, cache=cache2) as handle:
-            client = handle.client()  # pooled persistent connections
+        print("5. v2 data plane: keep-alive client, batched submits")
+        cache2 = RunCache(os.path.join(tmp, "cache-batched"))
+        with serve_in_thread(
+            backend=InProcessBackend(workers=2), cache=cache2
+        ) as handle, handle.client() as client:  # pooled persistent connections
 
             # One held batch request carries several jobs out and every
             # result back; identical points coalesce onto one simulation
@@ -99,7 +96,7 @@ def main() -> None:
                 {k: r[k] for k in deterministic} for r in payloads[0]["results"]
             ] == [
                 {k: r[k] for k in deterministic} for r in first["results"][:1]
-            ], "sharded result drifted from the unsharded run"
+            ], "batched result drifted from the single-job run"
             assert payloads[2]["dedupe"]["scheduled"] == 0, (
                 "duplicate job in the batch was re-simulated"
             )
@@ -113,15 +110,12 @@ def main() -> None:
             assert final["state"] in ("cancelled", "done"), final
 
             stats = client.stats()
-            by_shard = stats["backend"]["points_by_shard"]
             http = stats["http"]
-            assert stats["backend"]["shards"] == 2
-            assert sum(by_shard) >= 2
             assert http["requests_reused"] > 0, "keep-alive never reused"
             print(f"   batch of {len(specs)} jobs over one kept-alive "
                   f"connection; dedupe: "
                   f"{json.dumps(stats['batch'])}")
-            print(f"   points by shard: {by_shard}; connections accepted: "
+            print(f"   connections accepted: "
                   f"{http['connections_accepted']}, requests reused: "
                   f"{http['requests_reused']}")
             print(f"   cancelled {report['job_id']}: "

@@ -246,7 +246,6 @@ def _cmd_serve(args) -> str:
         backend=args.backend,
         workers=args.workers,
         cache_dir=None if args.no_cache else args.cache_dir,
-        shards=args.shards,
         max_jobs=args.max_jobs,
     )
     return ""
@@ -592,11 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--workers", type=int, default=None,
         help="backend worker count (default: all cores for pool, 1 for inprocess)",
-    )
-    serve.add_argument(
-        "--shards", type=int, default=0, metavar="N",
-        help="run N independent backend instances behind consistent-hash "
-             "routing on the point cache key (N >= 2; default: unsharded)",
     )
     serve.add_argument(
         "--max-jobs", type=int, default=1024, metavar="N",

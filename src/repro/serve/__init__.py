@@ -10,8 +10,7 @@ persistent process pool).
 
 Quickstart::
 
-    python -m repro serve --port 8732 --backend pool &   # add --shards 4
-                                                         # for N pool shards
+    python -m repro serve --port 8732 --backend pool &
     curl -d '{"workload": "lu2d", "config": {"prows": 2, "pcols": 2,
               "n": 32}}' http://127.0.0.1:8732/jobs
 
@@ -28,7 +27,6 @@ from repro.serve.backends import (
     Backend,
     InProcessBackend,
     PoolBackend,
-    ShardedBackend,
     make_backend,
 )
 from repro.serve.client import ServeClient, ServerHandle, serve_in_thread
@@ -57,7 +55,6 @@ __all__ = [
     "Backend",
     "InProcessBackend",
     "PoolBackend",
-    "ShardedBackend",
     "BACKENDS",
     "make_backend",
     "ServeClient",

@@ -517,7 +517,6 @@ def run_server(
     backend: str = "pool",
     workers: Optional[int] = None,
     cache_dir: Optional[str] = ".repro-cache",
-    shards: int = 0,
     max_jobs: int = 1024,
 ) -> None:
     """Blocking entrypoint behind ``repro serve``: run until Ctrl-C or SIGTERM."""
@@ -527,17 +526,16 @@ def run_server(
         server = JobServer(
             host=host,
             port=port,
-            backend=make_backend(backend, workers, shards=shards),
+            backend=make_backend(backend, workers),
             cache=cache,
             max_jobs=max_jobs,
         )
         await server.start()
         # SIGTERM cancels this task as Ctrl-C does; the finally below closes the backend.
         asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
-        sharding = f", shards={shards}" if shards and shards >= 2 else ""
         print(
             f"repro serve listening on http://{server.host}:{server.port} "
-            f"(backend={backend}{sharding}, workers={server.backend.workers}, "
+            f"(backend={backend}, workers={server.backend.workers}, "
             f"cache={'off' if cache is None else cache.root}, "
             f"workloads: {', '.join(workload_names())})",
             flush=True,

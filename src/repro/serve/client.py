@@ -326,6 +326,7 @@ class ServeClient:
         connection, never a pooled one.
         """
         conn = self._fresh()
+        response = None
         received = 0
         try:
             try:
@@ -367,6 +368,8 @@ class ServeClient:
                     received += 1
                     yield json.loads(line.decode("utf-8"))
         finally:
+            if response is not None:
+                response.close()  # a close-delimited response owns the socket
             conn.close()
 
 

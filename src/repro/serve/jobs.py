@@ -392,9 +392,7 @@ class JobManager:
         in-flight future, caching successes first so post-completion
         duplicates are cache hits."""
         try:
-            result = await self.backend.run_point(
-                entry.fn, config, seed, index, key=key
-            )
+            result = await self.backend.run_point(entry.fn, config, seed, index)
         except Exception as exc:
             self._inflight.pop(key, None)
             self._waiters.pop(key, None)
@@ -431,7 +429,7 @@ class JobManager:
                 if isinstance(exc, SweepPointError) and exc.config_token:
                     error["config_token"] = exc.config_token
                 details = getattr(exc, "details", None)
-                if details:  # e.g. BackendError names the dead shard
+                if details:  # e.g. BackendError names the lost point
                     error["details"] = dict(details)
                 self._settle_point(job, index, error=error)
 

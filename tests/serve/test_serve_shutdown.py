@@ -4,7 +4,8 @@ Each test starts ``python -m repro serve --backend pool`` in its own
 session and runs one point so pool workers exist.  A signal to the
 server process alone must leave no process of its tree, a port that
 refuses connections and a log without a traceback; a worker that the
-broken-pool path terminates must leave the server running.
+broken-pool path terminates must leave the server running, and a
+worker ignores a SIGINT sent to it alone.
 """
 
 import contextlib
@@ -129,7 +130,28 @@ def test_broken_pool_terminating_a_worker_keeps_the_server(tmp_path):
         assert wait_for(lambda: not alive(workers[1]), 10), "the pool kept its other worker"
         time.sleep(0.5)  # time for a stray shutdown to act
         assert proc.poll() is None, log_path.read_text()
+        # A worker killed while idle fails no point: the first one is
+        # rerun alone, the next one runs on the replaced pool.
         states = [run_point(port, seed)["state"] for seed in (2, 3)]
-        assert states[-1] == "done", states  # the pool was replaced
+        assert states == ["done", "done"], states
         os.kill(proc.pid, signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
+
+
+def test_worker_ignores_sigint_sent_to_it_alone(tmp_path):
+    """Ctrl-C belongs to the server: a SIGINT to a worker alone neither
+    ends it nor breaks the pool."""
+    with pool_server(tmp_path, workers=1) as (proc, port, log_path):
+        assert run_point(port, seed=1)["state"] == "done"
+        tree = process_tree(proc.pid)
+        assert len(tree) == 2, tree
+        os.kill(tree[1], signal.SIGINT)
+        time.sleep(0.5)  # time for the signal to act
+        assert alive(tree[1])
+        payload = run_point(port, seed=2)
+        assert payload["state"] == "done"
+        assert payload["dedupe"]["scheduled"] == 1
+        assert process_tree(proc.pid) == tree  # the same worker served it
+        os.kill(proc.pid, signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert "Traceback" not in log_path.read_text()

@@ -1,4 +1,4 @@
-"""The v2 data plane: keep-alive, batches, cancellation, sharding.
+"""The v2 data plane: keep-alive, batches, cancellation, worker death.
 
 Same style as ``test_serve_e2e``: every test boots a real server on an
 ephemeral port and exercises the wire path.  Raw-socket helpers cover
@@ -6,6 +6,10 @@ the HTTP mechanics (keep-alive negotiation, truncated responses) the
 pooled client is designed to hide.
 """
 
+import asyncio
+import multiprocessing
+import os
+import signal
 import socket
 import struct
 import threading
@@ -14,14 +18,14 @@ import time
 import pytest
 
 from repro.serve import (
+    BackendError,
     InProcessBackend,
     PoolBackend,
     ServeClientError,
     ServeTransportError,
-    ShardedBackend,
     serve_in_thread,
 )
-from repro.sweep import Lu2dPoint, RunCache, WorkloadEntry, cache_key, lu2d_point, run_sweep, sweep_seeds
+from repro.sweep import RunCache, WorkloadEntry
 
 from tests.serve._workloads import (
     CrashConfig,
@@ -35,26 +39,12 @@ LU2D_CONFIGS = [
     {"prows": 1, "pcols": 2, "n": 32},
 ]
 
-DETERMINISTIC_KEYS = ("ranks", "n", "virtual_time_s", "events", "messages", "bytes", "exact")
-
-
-def _deterministic(result):
-    return {k: result[k] for k in DETERMINISTIC_KEYS}
-
 
 def _registry():
     return {
         "sleepy": WorkloadEntry("sleepy", sleepy_point, SleepyConfig, "zzz"),
         "crash": WorkloadEntry("crash", crash_point, CrashConfig, "boom"),
     }
-
-
-def _inprocess_shard(index):
-    return InProcessBackend(workers=1)
-
-
-def _pool_shard(index):
-    return PoolBackend(workers=1)
 
 
 def _raw_roundtrip(sock, request: bytes):
@@ -117,11 +107,11 @@ def _read_request(conn) -> bytes:
 class TestKeepAlive:
     def test_sequential_requests_reuse_one_connection(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            client.healthz()
-            client.jobs()
-            client.healthz()
-            stats = client.stats()
+            with handle.client() as client:
+                client.healthz()
+                client.jobs()
+                client.healthz()
+                stats = client.stats()
         http = stats["http"]
         assert http["connections_accepted"] == 1
         assert http["connections_reused"] == 1
@@ -130,10 +120,10 @@ class TestKeepAlive:
 
     def test_connection_close_disables_reuse(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client(keep_alive=False)
-            client.healthz()
-            client.healthz()
-            stats = client.stats()
+            with handle.client(keep_alive=False) as client:
+                client.healthz()
+                client.healthz()
+                stats = client.stats()
         http = stats["http"]
         assert http["connections_accepted"] == 3
         assert http["connections_reused"] == 0
@@ -143,10 +133,10 @@ class TestKeepAlive:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), max_requests_per_connection=2
         ) as handle:
-            client = handle.client()
-            for _ in range(6):
-                client.healthz()
-            stats = client.stats()
+            with handle.client() as client:
+                for _ in range(6):
+                    client.healthz()
+                stats = client.stats()
         http = stats["http"]
         # Three connections of exactly two requests, plus the stats call
         # opening a fresh one after the third was capped out.
@@ -158,13 +148,13 @@ class TestKeepAlive:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), keepalive_idle_s=0.2
         ) as handle:
-            client = handle.client()
-            client.healthz()
-            time.sleep(0.6)  # server idles the kept-alive connection out
-            # The pooled connection is dead; the client must detect it
-            # and transparently retry on a fresh one.
-            assert client.healthz()["status"] == "ok"
-            stats = client.stats()
+            with handle.client() as client:
+                client.healthz()
+                time.sleep(0.6)  # server idles the kept-alive connection out
+                # The pooled connection is dead; the client must detect it
+                # and transparently retry on a fresh one.
+                assert client.healthz()["status"] == "ok"
+                stats = client.stats()
         assert stats["http"]["connections_accepted"] >= 2
 
     def test_http10_negotiation_raw(self):
@@ -188,12 +178,12 @@ class TestKeepAlive:
 
     def test_errors_do_not_kill_the_connection(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            status, _ = client.request("GET", "/jobs/job-999")
-            assert status == 404
-            status, _ = client.request("POST", "/jobs", {"workload": "qcd"})
-            assert status == 400
-            stats = client.stats()
+            with handle.client() as client:
+                status, _ = client.request("GET", "/jobs/job-999")
+                assert status == 404
+                status, _ = client.request("POST", "/jobs", {"workload": "qcd"})
+                assert status == 400
+                stats = client.stats()
         # All three requests (two errors + stats) rode one connection:
         # Content-Length framing keeps error responses reusable.
         assert stats["http"]["connections_accepted"] == 1
@@ -205,21 +195,21 @@ class TestBatchSubmit:
         with serve_in_thread(
             backend=InProcessBackend(workers=2), registry=_registry()
         ) as handle:
-            client = handle.client()
-            batch = client.submit_batch(
-                [
-                    {"workload": "sleepy", "configs": [{"delay_ms": 1, "tag": "a"}]},
-                    {
-                        "workload": "sleepy",
-                        "configs": [
-                            {"delay_ms": 1, "tag": "b"},
-                            {"delay_ms": 1, "tag": "c"},
-                        ],
-                    },
-                ]
-            )
-            payloads = [client.wait(j["job_id"]) for j in batch["jobs"]]
-            stats = client.stats()
+            with handle.client() as client:
+                batch = client.submit_batch(
+                    [
+                        {"workload": "sleepy", "configs": [{"delay_ms": 1, "tag": "a"}]},
+                        {
+                            "workload": "sleepy",
+                            "configs": [
+                                {"delay_ms": 1, "tag": "b"},
+                                {"delay_ms": 1, "tag": "c"},
+                            ],
+                        },
+                    ]
+                )
+                payloads = [client.wait(j["job_id"]) for j in batch["jobs"]]
+                stats = client.stats()
 
         assert batch["batch"]["jobs"] == 2
         assert batch["batch"]["points"] == 3
@@ -235,11 +225,11 @@ class TestBatchSubmit:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=_registry()
         ) as handle:
-            client = handle.client()
-            batch = client.submit_batch([spec, spec, spec])
-            for j in batch["jobs"]:
-                client.wait(j["job_id"])
-            stats = client.stats()
+            with handle.client() as client:
+                batch = client.submit_batch([spec, spec, spec])
+                for j in batch["jobs"]:
+                    client.wait(j["job_id"])
+                stats = client.stats()
         assert batch["batch"]["dedupe"] == {
             "cache_hits": 0, "coalesced": 2, "scheduled": 1,
         }
@@ -255,9 +245,9 @@ class TestBatchSubmit:
         with serve_in_thread(
             backend=InProcessBackend(workers=2), cache=cache
         ) as handle:
-            client = handle.client()
-            first = client.run_batch(jobs)
-            second = client.run_batch(jobs)
+            with handle.client() as client:
+                first = client.run_batch(jobs)
+                second = client.run_batch(jobs)
         assert [p["state"] for p in second] == ["done", "done"]
         assert all(p["dedupe"] == {"cache_hits": 1, "coalesced": 0, "scheduled": 0}
                    for p in second)
@@ -265,29 +255,29 @@ class TestBatchSubmit:
 
     def test_batch_validation_is_all_or_nothing(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            status, decoded = client.request(
-                "POST", "/jobs/batch",
-                {
-                    "jobs": [
-                        {"workload": "lu2d", "configs": [LU2D_CONFIGS[0]]},
-                        {"workload": "lu2d", "configs": [{"bogus": 1}]},
-                    ]
-                },
-            )
-            assert status == 400
-            assert decoded["error"]["details"]["job_index"] == 1
-            assert "index 1" in decoded["error"]["message"]
-            # The valid job at index 0 was not half-submitted.
-            assert client.jobs() == []
+            with handle.client() as client:
+                status, decoded = client.request(
+                    "POST", "/jobs/batch",
+                    {
+                        "jobs": [
+                            {"workload": "lu2d", "configs": [LU2D_CONFIGS[0]]},
+                            {"workload": "lu2d", "configs": [{"bogus": 1}]},
+                        ]
+                    },
+                )
+                assert status == 400
+                assert decoded["error"]["details"]["job_index"] == 1
+                assert "index 1" in decoded["error"]["message"]
+                # The valid job at index 0 was not half-submitted.
+                assert client.jobs() == []
 
     def test_batch_envelope_is_validated(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
-            client = handle.client()
-            for payload in ([1, 2], {"jobs": []}, {"jobs": {}}, {"tasks": []}):
-                status, decoded = client.request("POST", "/jobs/batch", payload)
-                assert status == 400, payload
-                assert decoded["error"]["code"] == "bad-request"
+            with handle.client() as client:
+                for payload in ([1, 2], {"jobs": []}, {"jobs": {}}, {"tasks": []}):
+                    status, decoded = client.request("POST", "/jobs/batch", payload)
+                    assert status == 400, payload
+                    assert decoded["error"]["code"] == "bad-request"
 
 
 class TestCancellation:
@@ -295,15 +285,15 @@ class TestCancellation:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=_registry()
         ) as handle:
-            client = handle.client()
-            submitted = client.submit(
-                "sleepy",
-                [{"delay_ms": 400, "tag": "p"}, {"delay_ms": 400, "tag": "q"}],
-            )
-            report = client.cancel(submitted["job_id"])
-            payload = client.wait(submitted["job_id"])
-            again = client.cancel(submitted["job_id"])
-            stats = client.stats()
+            with handle.client() as client:
+                submitted = client.submit(
+                    "sleepy",
+                    [{"delay_ms": 400, "tag": "p"}, {"delay_ms": 400, "tag": "q"}],
+                )
+                report = client.cancel(submitted["job_id"])
+                payload = client.wait(submitted["job_id"])
+                again = client.cancel(submitted["job_id"])
+                stats = client.stats()
 
         assert report["cancelled_points"] == 2
         assert report["state"] == "cancelled"
@@ -323,7 +313,8 @@ class TestCancellation:
     def test_cancel_unknown_job_is_404(self):
         with serve_in_thread(backend=InProcessBackend(workers=1)) as handle:
             with pytest.raises(ServeClientError) as exc_info:
-                handle.client().cancel("job-999")
+                with handle.client() as client:
+                    client.cancel("job-999")
         assert exc_info.value.status == 404
 
     def test_cancelling_one_waiter_does_not_poison_the_other(self):
@@ -331,21 +322,21 @@ class TestCancellation:
         with serve_in_thread(
             backend=InProcessBackend(workers=2), registry=_registry()
         ) as handle:
-            client = handle.client()
-            # Direction 1: cancel the job that *scheduled* the point.
-            spec_a = [{"delay_ms": 300, "tag": "sched"}]
-            a = client.submit("sleepy", spec_a)
-            b = client.submit("sleepy", spec_a)  # coalesces onto a's point
-            assert b["dedupe"]["coalesced"] == 1
-            client.cancel(a["job_id"])
-            done_b = client.wait(b["job_id"])
-            # Direction 2: cancel the job that *coalesced*.
-            spec_c = [{"delay_ms": 300, "tag": "coal"}]
-            c = client.submit("sleepy", spec_c)
-            d = client.submit("sleepy", spec_c)
-            client.cancel(d["job_id"])
-            done_c = client.wait(c["job_id"])
-            stats = client.stats()
+            with handle.client() as client:
+                # Direction 1: cancel the job that *scheduled* the point.
+                spec_a = [{"delay_ms": 300, "tag": "sched"}]
+                a = client.submit("sleepy", spec_a)
+                b = client.submit("sleepy", spec_a)  # coalesces onto a's point
+                assert b["dedupe"]["coalesced"] == 1
+                client.cancel(a["job_id"])
+                done_b = client.wait(b["job_id"])
+                # Direction 2: cancel the job that *coalesced*.
+                spec_c = [{"delay_ms": 300, "tag": "coal"}]
+                c = client.submit("sleepy", spec_c)
+                d = client.submit("sleepy", spec_c)
+                client.cancel(d["job_id"])
+                done_c = client.wait(c["job_id"])
+                stats = client.stats()
 
         assert done_b["state"] == "done"
         assert done_b["results"][0]["tag"] == "sched"
@@ -360,10 +351,10 @@ class TestCancellation:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=_registry()
         ) as handle:
-            client = handle.client()
-            submitted = client.submit("sleepy", [{"delay_ms": 400}])
-            client.cancel(submitted["job_id"])
-            events = list(client.events(submitted["job_id"]))
+            with handle.client() as client:
+                submitted = client.submit("sleepy", [{"delay_ms": 400}])
+                client.cancel(submitted["job_id"])
+                events = list(client.events(submitted["job_id"]))
         point_events = [e for e in events if e["event"] == "point"]
         assert [e["state"] for e in point_events] == ["cancelled"]
         assert point_events[0]["error"]["code"] == "cancelled"
@@ -381,11 +372,11 @@ class TestCancellation:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=_registry(), cache=cache
         ) as handle:
-            client = handle.client()
-            submitted = client.submit("sleepy", [{"delay_ms": 200}])
-            client.cancel(submitted["job_id"])
-            time.sleep(0.8)  # the in-flight simulation runs to completion
-            again = client.run("sleepy", [{"delay_ms": 200}])
+            with handle.client() as client:
+                submitted = client.submit("sleepy", [{"delay_ms": 200}])
+                client.cancel(submitted["job_id"])
+                time.sleep(0.8)  # the in-flight simulation runs to completion
+                again = client.run("sleepy", [{"delay_ms": 200}])
         assert again["dedupe"] == {"cache_hits": 1, "coalesced": 0, "scheduled": 0}
         assert again["results"][0]["delay_ms"] == 200
 
@@ -395,14 +386,14 @@ class TestEviction:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), registry=_registry(), max_jobs=3
         ) as handle:
-            client = handle.client()
-            ids = []
-            for i in range(5):
-                payload = client.run("sleepy", [{"delay_ms": 1, "tag": f"e{i}"}])
-                ids.append(payload["job_id"])
-            listed = client.jobs()
-            status, _ = client.request("GET", f"/jobs/{ids[0]}")
-            stats = client.stats()
+            with handle.client() as client:
+                ids = []
+                for i in range(5):
+                    payload = client.run("sleepy", [{"delay_ms": 1, "tag": f"e{i}"}])
+                    ids.append(payload["job_id"])
+                listed = client.jobs()
+                status, _ = client.request("GET", f"/jobs/{ids[0]}")
+                stats = client.stats()
 
         assert [j["job_id"] for j in listed] == [ids[4], ids[3], ids[2]]
         assert status == 404  # evicted jobs are gone
@@ -426,105 +417,67 @@ class TestEviction:
         with serve_in_thread(
             backend=InProcessBackend(workers=1), cache=cache, max_jobs=2
         ) as handle:
-            client = handle.client()
-            for origin in ("scheduled", "cache_hit"):
-                evicted = client.stats()["jobs_evicted"]
-                payloads = client.run_batch(jobs)
-                assert [p["state"] for p in payloads] == ["done"] * 4
-                assert [p["point_states"][0]["origin"] for p in payloads] == [origin] * 4
-                assert [p["results"][0]["n"] for p in payloads] == [16, 24, 32, 40]
-                assert client.stats()["jobs_evicted"] - evicted >= 2
-            assert client.stats()["jobs_tracked"] == 2
+            with handle.client() as client:
+                for origin in ("scheduled", "cache_hit"):
+                    evicted = client.stats()["jobs_evicted"]
+                    payloads = client.run_batch(jobs)
+                    assert [p["state"] for p in payloads] == ["done"] * 4
+                    assert [p["point_states"][0]["origin"] for p in payloads] == [origin] * 4
+                    assert [p["results"][0]["n"] for p in payloads] == [16, 24, 32, 40]
+                    assert client.stats()["jobs_evicted"] - evicted >= 2
+                assert client.stats()["jobs_tracked"] == 2
 
 
-class TestShardedBackend:
-    def test_sharded_results_bit_identical_to_run_sweep(self):
-        backend = ShardedBackend(shards=2, factory=_inprocess_shard)
-        with serve_in_thread(backend=backend) as handle:
-            payload = handle.client().run("lu2d", LU2D_CONFIGS, seed=3)
-            stats = handle.client().stats()
-        direct = run_sweep(
-            [Lu2dPoint(**c) for c in LU2D_CONFIGS], lu2d_point, workers=1, seed=3
-        )
-        assert payload["state"] == "done"
-        assert [_deterministic(r) for r in payload["results"]] == [
-            _deterministic(r) for r in direct
-        ]
-        assert stats["backend"]["backend"] == "sharded"
-        assert stats["backend"]["shards"] == 2
-        assert sum(stats["backend"]["points_by_shard"]) == 2
-        assert stats["backend"]["completed"] == 2
+class TestPoolContainment:
+    def test_worker_death_mid_batch_fails_only_the_killer(self):
+        """A worker killed mid-batch breaks the pool under every point in
+        flight; each is rerun alone, so only the killer itself fails."""
+        specs = [{"workload": "sleepy", "configs": [{"delay_ms": 100, "tag": "t0"}]},
+                 {"workload": "crash", "configs": [{"mode": "exit"}]}]
+        specs += [{"workload": "sleepy", "configs": [{"delay_ms": 100, "tag": f"t{i}"}]}
+                  for i in range(1, 6)]
+        with serve_in_thread(backend=PoolBackend(workers=2), registry=_registry()) as handle:
+            with handle.client() as client:
+                payloads = client.run_batch(specs, timeout=120)
+                assert client.healthz()["status"] == "ok"
+                stats = client.stats()
 
-    def test_points_spread_across_shards(self):
-        backend = ShardedBackend(shards=4, factory=_inprocess_shard)
-        configs = [{"delay_ms": 1, "tag": f"s{i}"} for i in range(16)]
-        with serve_in_thread(backend=backend, registry=_registry()) as handle:
-            payload = handle.client().run("sleepy", configs)
-            stats = handle.client().stats()
-        assert payload["state"] == "done"
-        by_shard = stats["backend"]["points_by_shard"]
-        assert sum(by_shard) == 16
-        assert sum(1 for n in by_shard if n) >= 2  # really distributed
-        assert len(stats["backend"]["per_shard"]) == 4
-
-    def test_routing_is_stable_and_replace_preserves_the_ring(self):
-        backend = ShardedBackend(shards=3, factory=_inprocess_shard)
-        try:
-            keys = [
-                cache_key(sleepy_point, SleepyConfig(delay_ms=1, tag=f"k{i}"), i)
-                for i in range(60)
-            ]
-            before = [backend.shard_for(k) for k in keys]
-            assert sorted(set(before)) == [0, 1, 2]  # every shard owns keys
-            old = backend.shards[1]
-            replacement = backend.replace_shard(1)
-            assert replacement is backend.shards[1]
-            assert replacement is not old
-            assert backend.shards_replaced == 1
-            # In-place replacement leaves every key's route untouched.
-            assert [backend.shard_for(k) for k in keys] == before
-        finally:
-            backend.close()
-
-    def test_shard_death_mid_batch_fails_only_its_points(self):
-        backend = ShardedBackend(shards=2, factory=_pool_shard)
-        seed0 = sweep_seeds(0, 1)[0]
-        crash_shard = backend.shard_for(
-            cache_key(crash_point, CrashConfig(mode="exit"), seed0)
-        )
-        # Pick a sleepy config that routes to the *other* shard, so the
-        # two jobs in the batch land on different machines.
-        tag = next(
-            t for t in (f"t{i}" for i in range(200))
-            if backend.shard_for(
-                cache_key(sleepy_point, SleepyConfig(delay_ms=1, tag=t), seed0)
-            ) != crash_shard
-        )
-        with serve_in_thread(backend=backend, registry=_registry()) as handle:
-            client = handle.client()
-            batch = client.submit_batch(
-                [
-                    {"workload": "crash", "configs": [{"mode": "exit"}]},
-                    {"workload": "sleepy", "configs": [{"delay_ms": 1, "tag": tag}]},
-                ]
-            )
-            dead = client.wait(batch["jobs"][0]["job_id"], timeout=120)
-            alive = client.wait(batch["jobs"][1]["job_id"], timeout=120)
-            assert client.healthz()["status"] == "ok"
-            # The dead shard healed its own pool: new work on it runs.
-            retry = client.run("crash", [{"mode": "ok"}], timeout=120)
-            stats = client.stats()
-
-        assert dead["state"] == "failed"
+        assert [p["state"] for p in payloads] == ["done", "failed"] + ["done"] * 5
+        dead = payloads[1]
         assert dead["error"]["type"] == "BackendError"
-        assert dead["error"]["details"]["shard"] == crash_shard
-        assert alive["state"] == "done"
-        assert alive["results"][0]["tag"] == tag
-        assert retry["state"] == "done"
-        by_shard = stats["backend"]["failed_by_shard"]
-        assert by_shard[crash_shard] == 1
-        assert sum(by_shard) == 1
+        assert "lost a worker" in dead["error"]["message"]
+        assert dead["error"]["details"]["point"] == 0
+        tags = [p["results"][0]["tag"] for p in payloads if p["state"] == "done"]
+        assert tags == [f"t{i}" for i in range(6)]
+        assert stats["backend"]["failed"] == 1
         assert stats["backend"]["restarts"] >= 1
+
+    def test_closed_backend_reruns_nothing(self):
+        """A pool that breaks after ``close()`` fails its points at once:
+        no quarantine pool is started during shutdown."""
+        before = {child.pid for child in multiprocessing.active_children()}
+        backend = PoolBackend(workers=1)
+
+        async def scenario():
+            await backend.run_point(sleepy_point, SleepyConfig(delay_ms=1), 0)
+            workers = [child for child in multiprocessing.active_children()
+                       if child.pid not in before]
+            assert len(workers) == 1, workers
+            held = asyncio.ensure_future(
+                backend.run_point(sleepy_point, SleepyConfig(delay_ms=5000), 1)
+            )
+            await asyncio.sleep(0.3)  # the point is running on the worker
+            backend.close()
+            os.kill(workers[0].pid, signal.SIGKILL)
+            with pytest.raises(BackendError, match="closed"):
+                await held
+
+        t0 = time.perf_counter()
+        asyncio.run(scenario())
+        assert time.perf_counter() - t0 < 5.0
+        assert backend._lane is None
+        assert backend.restarts == 0
+        assert backend.utilization()["failed"] == 1
 
 
 class TestTransportErrors:
@@ -535,9 +488,9 @@ class TestTransportErrors:
         probe.close()  # nothing listens here any more
         from repro.serve import ServeClient
 
-        client = ServeClient(port=port, timeout=2)
-        with pytest.raises(ServeTransportError) as exc_info:
-            client.healthz()
+        with ServeClient(port=port, timeout=2) as client:
+            with pytest.raises(ServeTransportError) as exc_info:
+                client.healthz()
         err = exc_info.value
         assert err.method == "GET"
         assert err.path == "/healthz"
@@ -581,6 +534,7 @@ class TestTransportErrors:
             with pytest.raises(socket.timeout):
                 srv.accept()
         finally:
+            client.close()
             release.set()
             thread.join(timeout=5)
             srv.close()
@@ -603,9 +557,9 @@ class TestTransportErrors:
         port, thread = _one_shot_server(handler)
         from repro.serve import ServeClient
 
-        client = ServeClient(port=port, timeout=5)
-        with pytest.raises(ServeTransportError) as exc_info:
-            client.job("job-7")
+        with ServeClient(port=port, timeout=5) as client:
+            with pytest.raises(ServeTransportError) as exc_info:
+                client.job("job-7")
         thread.join(timeout=5)
         err = exc_info.value
         assert err.job_id == "job-7"
@@ -633,11 +587,11 @@ class TestTransportErrors:
         port, thread = _one_shot_server(handler)
         from repro.serve import ServeClient
 
-        client = ServeClient(port=port, timeout=5)
         received = []
-        with pytest.raises(ServeTransportError) as exc_info:
-            for event in client.events("job-3"):
-                received.append(event)
+        with ServeClient(port=port, timeout=5) as client:
+            with pytest.raises(ServeTransportError) as exc_info:
+                for event in client.events("job-3"):
+                    received.append(event)
         thread.join(timeout=5)
         err = exc_info.value
         assert [e["index"] for e in received] == [0, 1]

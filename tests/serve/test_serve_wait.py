@@ -78,58 +78,59 @@ def _in_thread(call):
 class TestWaitParameter:
     def test_malformed_wait_is_a_400_that_keeps_the_connection(self):
         with _serve() as handle:
-            client = handle.client()
-            for path, body in (
-                ("/jobs?wait=abc", _sleepy(1)),
-                ("/jobs/batch?wait=-1", {"jobs": [_sleepy(1)]}),
-                ("/jobs?wait=nan", _sleepy(1)),
-                ("/jobs?wait=", _sleepy(1)),
-            ):
-                status, decoded = client.request("POST", path, body)
-                assert status == 400, path
-                assert decoded["error"]["code"] == "bad-request", path
-                assert "wait" in decoded["error"]["message"], path
-            # Refused before admission: nothing was half-submitted.
-            assert client.jobs() == []
-            job_id = client.submit("sleepy", [{"delay_ms": 1}])["job_id"]
-            status, _ = client.request("GET", f"/jobs/{job_id}?wait=abc")
-            assert status == 400
-            # The very same connection serves the next request.
-            status, decoded = client.request("GET", f"/jobs/{job_id}?wait=5&other=1")
-            assert status == 200 and decoded["state"] == "done"
-            stats = client.stats()
+            with handle.client() as client:
+                for path, body in (
+                    ("/jobs?wait=abc", _sleepy(1)),
+                    ("/jobs/batch?wait=-1", {"jobs": [_sleepy(1)]}),
+                    ("/jobs?wait=nan", _sleepy(1)),
+                    ("/jobs?wait=", _sleepy(1)),
+                ):
+                    status, decoded = client.request("POST", path, body)
+                    assert status == 400, path
+                    assert decoded["error"]["code"] == "bad-request", path
+                    assert "wait" in decoded["error"]["message"], path
+                # Refused before admission: nothing was half-submitted.
+                assert client.jobs() == []
+                job_id = client.submit("sleepy", [{"delay_ms": 1}])["job_id"]
+                status, _ = client.request("GET", f"/jobs/{job_id}?wait=abc")
+                assert status == 400
+                # The very same connection serves the next request.
+                status, decoded = client.request("GET", f"/jobs/{job_id}?wait=5&other=1")
+                assert status == 200 and decoded["state"] == "done"
+                stats = client.stats()
         assert stats["http"]["connections_accepted"] == 1
 
     def test_unknown_id_with_wait_is_an_immediate_404(self):
         with _serve() as handle:
             t0 = time.monotonic()
             with pytest.raises(ServeClientError) as exc_info:
-                handle.client().wait("job-999", timeout=5)
+                with handle.client() as client:
+                    client.wait("job-999", timeout=5)
             assert time.monotonic() - t0 < 1.0
         assert exc_info.value.status == 404
 
     def test_over_ceiling_wait_is_clamped_not_rejected(self, monkeypatch):
         monkeypatch.setattr(serve_app, "MAX_WAIT_S", 0.05)
         with _serve() as handle:
-            client = handle.client()
-            t0 = time.monotonic()
-            status, decoded = client.request("POST", "/jobs?wait=1e9", _sleepy(300))
-            elapsed = time.monotonic() - t0
-            stats = client.stats()
+            with handle.client() as client:
+                t0 = time.monotonic()
+                status, decoded = client.request("POST", "/jobs?wait=1e9", _sleepy(300))
+                elapsed = time.monotonic() - t0
+                stats = client.stats()
         assert status == 201
         assert decoded["state"] == "running" and elapsed < 0.2
         assert stats["http"]["waits_expired"] == 1
 
     def test_unwaited_posts_answer_with_the_summary_only(self):
         with _serve() as handle:
-            client = handle.client()
-            status, single = client.request("POST", "/jobs", _sleepy(1))
-            assert status == 201
-            status, batch = client.request(
-                "POST", "/jobs/batch", {"jobs": [_sleepy(1, "b"), _sleepy(1, "c")]}
-            )
-            assert status == 201
-            stats = client.stats()
+            with handle.client() as client:
+                status, single = client.request("POST", "/jobs", _sleepy(1))
+                assert status == 201
+                status, batch = client.request(
+                    "POST", "/jobs/batch", {"jobs": [_sleepy(1, "b"), _sleepy(1, "c")]}
+                )
+                assert status == 201
+                stats = client.stats()
         assert set(single) == SUMMARY_KEYS
         assert [set(job) for job in batch["jobs"]] == [SUMMARY_KEYS] * 2
         assert set(batch) == {"jobs", "batch"}
@@ -137,14 +138,14 @@ class TestWaitParameter:
 
     def test_expired_hold_is_a_200_with_the_job_as_it_stands(self):
         with _serve() as handle:
-            client = handle.client()
-            job_id = client.submit("sleepy", [{"delay_ms": 300}])["job_id"]
-            before = client.stats()["http"]
-            t0 = time.monotonic()
-            status, decoded = client.request("GET", f"/jobs/{job_id}?wait=0.05")
-            elapsed = time.monotonic() - t0
-            after = client.stats()["http"]
-            final = client.wait(job_id)
+            with handle.client() as client:
+                job_id = client.submit("sleepy", [{"delay_ms": 300}])["job_id"]
+                before = client.stats()["http"]
+                t0 = time.monotonic()
+                status, decoded = client.request("GET", f"/jobs/{job_id}?wait=0.05")
+                elapsed = time.monotonic() - t0
+                after = client.stats()["http"]
+                final = client.wait(job_id)
         assert status == 200 and elapsed < 0.2
         assert decoded["state"] == "running"
         assert decoded["results"] == [None] and decoded["settled"] == 0
@@ -156,10 +157,10 @@ class TestWaitParameter:
 class TestClientOnHolds:
     def test_cold_run_is_one_request_and_one_hold(self):
         with _serve() as handle:
-            client = handle.client()
-            before = client.stats()
-            payload = client.run("sleepy", [{"delay_ms": 20}])
-            after = client.stats()
+            with handle.client() as client:
+                before = client.stats()
+                payload = client.run("sleepy", [{"delay_ms": 20}])
+                after = client.stats()
         assert payload["state"] == "done"
         assert payload["results"][0]["delay_ms"] == 20
         assert payload["dedupe"] == {"cache_hits": 0, "coalesced": 0, "scheduled": 1}
@@ -174,9 +175,9 @@ class TestClientOnHolds:
         """A job longer than the socket timeout still completes: each
         hold is a fixed share of it, re-issued until terminal."""
         with _serve() as handle:
-            client = handle.client(timeout=0.4)
-            payload = client.run("sleepy", [{"delay_ms": 600}])
-            stats = client.stats()
+            with handle.client(timeout=0.4) as client:
+                payload = client.run("sleepy", [{"delay_ms": 600}])
+                stats = client.stats()
         assert payload["state"] == "done"
         assert payload["results"][0]["delay_ms"] == 600
         assert stats["http"]["waits_expired"] >= 2  # the POST + a GET at least
@@ -184,33 +185,33 @@ class TestClientOnHolds:
 
     def test_wait_reissues_held_gets_until_done(self):
         with _serve() as handle:
-            client = handle.client(timeout=0.3)  # so each hold is 150 ms
-            job_id = client.submit("sleepy", [{"delay_ms": 400}])["job_id"]
-            payload = client.wait(job_id)
-            stats = client.stats()
+            with handle.client(timeout=0.3) as client:  # so each hold is 150 ms
+                job_id = client.submit("sleepy", [{"delay_ms": 400}])["job_id"]
+                payload = client.wait(job_id)
+                stats = client.stats()
         assert payload["state"] == "done"
         assert stats["http"]["waits_expired"] >= 2
 
     def test_caller_deadline_raises_the_timed_out_error(self):
         with _serve() as handle:
-            client = handle.client()
-            t0 = time.monotonic()
-            with pytest.raises(ServeError, match=r"timed out after 0\.1s") as exc_info:
-                client.run("sleepy", [{"delay_ms": 500}], timeout=0.1)
-            assert time.monotonic() - t0 < 0.4
+            with handle.client() as client:
+                t0 = time.monotonic()
+                with pytest.raises(ServeError, match=r"timed out after 0\.1s") as exc_info:
+                    client.run("sleepy", [{"delay_ms": 500}], timeout=0.1)
+                assert time.monotonic() - t0 < 0.4
         assert type(exc_info.value) is ServeError
         assert "state running, 0/1 settled" in str(exc_info.value)
 
     def test_delete_from_a_second_client_wakes_a_held_get(self):
         with _serve() as handle:
-            holder, other = handle.client(), handle.client()
-            job_id = holder.submit("sleepy", [{"delay_ms": 600}])["job_id"]
-            t0 = time.monotonic()
-            thread, outcome = _in_thread(lambda: holder.wait(job_id))
-            _until(lambda: other.stats()["http"]["waits_held"] == 1)
-            other.cancel(job_id)
-            thread.join(timeout=5)
-            elapsed = time.monotonic() - t0
+            with handle.client() as holder, handle.client() as other:
+                job_id = holder.submit("sleepy", [{"delay_ms": 600}])["job_id"]
+                t0 = time.monotonic()
+                thread, outcome = _in_thread(lambda: holder.wait(job_id))
+                _until(lambda: other.stats()["http"]["waits_held"] == 1)
+                other.cancel(job_id)
+                thread.join(timeout=5)
+                elapsed = time.monotonic() - t0
         assert not thread.is_alive()
         assert outcome[0]["state"] == "cancelled"
         assert outcome[0]["error"]["code"] == "cancelled"
@@ -218,12 +219,12 @@ class TestClientOnHolds:
 
     def test_worker_death_wakes_a_held_post(self):
         with _serve(backend=PoolBackend(workers=1)) as handle:
-            client = handle.client(timeout=120)
-            status, decoded = client.request(
-                "POST", "/jobs?wait=60",
-                {"workload": "crash", "configs": [{"mode": "exit"}]},
-            )
-            stats = client.stats()
+            with handle.client(timeout=120) as client:
+                status, decoded = client.request(
+                    "POST", "/jobs?wait=60",
+                    {"workload": "crash", "configs": [{"mode": "exit"}]},
+                )
+                stats = client.stats()
         assert status == 201
         assert decoded["state"] == "failed"
         assert decoded["error"]["type"] == "BackendError"
@@ -243,11 +244,11 @@ class TestClientOnHolds:
         ]
         cache = RunCache(str(tmp_path / "cache"))
         with serve_in_thread(backend=InProcessBackend(workers=1), cache=cache) as handle:
-            client = handle.client()
-            client.run("lu2d", [a], seed=3)
-            before = client.stats()["requests_served"]
-            payloads = client.run_batch(specs)
-            served = client.stats()["requests_served"] - before
+            with handle.client() as client:
+                client.run("lu2d", [a], seed=3)
+                before = client.stats()["requests_served"]
+                payloads = client.run_batch(specs)
+                served = client.stats()["requests_served"] - before
 
         assert served == 2  # one held POST carried all four jobs (+ the /stats)
         assert [p["state"] for p in payloads] == ["done"] * 4
@@ -267,16 +268,16 @@ class TestClientOnHolds:
 class TestHoldLifetime:
     def test_close_ends_a_parked_hold_at_once(self, caplog):
         with _serve() as handle:
-            holder, other = handle.client(), handle.client()
-            job_id = holder.submit("sleepy", [{"delay_ms": 2000}])["job_id"]
-            thread, outcome = _in_thread(lambda: holder.wait(job_id))
-            _until(lambda: other.stats()["http"]["waits_held"] == 1)
-            t0 = time.monotonic()
-            asyncio.run_coroutine_threadsafe(
-                handle.server.close(), handle.loop
-            ).result(timeout=5)
-            elapsed = time.monotonic() - t0
-            thread.join(timeout=5)
+            with handle.client() as holder, handle.client() as other:
+                job_id = holder.submit("sleepy", [{"delay_ms": 2000}])["job_id"]
+                thread, outcome = _in_thread(lambda: holder.wait(job_id))
+                _until(lambda: other.stats()["http"]["waits_held"] == 1)
+                t0 = time.monotonic()
+                asyncio.run_coroutine_threadsafe(
+                    handle.server.close(), handle.loop
+                ).result(timeout=5)
+                elapsed = time.monotonic() - t0
+                thread.join(timeout=5)
         assert elapsed < 1.0
         assert not thread.is_alive()
         assert isinstance(outcome[0], ServeTransportError)
@@ -285,20 +286,20 @@ class TestHoldLifetime:
 
     def test_client_dropping_mid_hold_leaves_nothing_behind(self, caplog):
         with _serve() as handle:
-            client = handle.client()
-            job_id = client.submit("sleepy", [{"delay_ms": 300}])["job_id"]
-            open_before = client.stats()["http"]["connections_open"]
-            sock = socket.create_connection((handle.host, handle.port), timeout=5)
-            sock.sendall(f"GET /jobs/{job_id}?wait=5 HTTP/1.1\r\n\r\n".encode("latin-1"))
-            _until(lambda: client.stats()["http"]["waits_held"] == 1)
-            sock.close()  # gone while the server is holding the request
+            with handle.client() as client:
+                job_id = client.submit("sleepy", [{"delay_ms": 300}])["job_id"]
+                open_before = client.stats()["http"]["connections_open"]
+                sock = socket.create_connection((handle.host, handle.port), timeout=5)
+                sock.sendall(f"GET /jobs/{job_id}?wait=5 HTTP/1.1\r\n\r\n".encode("latin-1"))
+                _until(lambda: client.stats()["http"]["waits_held"] == 1)
+                sock.close()  # gone while the server is holding the request
 
-            def settled():
-                http = client.stats()["http"]
-                return http["waits_held"] == 0 and http["connections_open"] == open_before
+                def settled():
+                    http = client.stats()["http"]
+                    return http["waits_held"] == 0 and http["connections_open"] == open_before
 
-            _until(settled)
-            assert client.job(job_id)["state"] == "done"
+                _until(settled)
+                assert client.job(job_id)["state"] == "done"
         gc.collect()  # an unretrieved task exception is logged at collection
         assert "never retrieved" not in caplog.text
 
